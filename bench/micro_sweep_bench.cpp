@@ -4,7 +4,7 @@
 // A 12-cell campaign over the Figs. 2-5 example app is evaluated (a) cold
 // with one worker, (b) cold with four workers, and (c) against a warm
 // store (pure cache probes).  Cells-per-second is reported as ns_per_op
-// per cell; emits BENCH_sweep.json (iop-bench/1) for iop-diff --bench.
+// per cell; emits BENCH_sweep.json (iop-bench/1) for iop-diff.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>

@@ -5,7 +5,7 @@
 // Jobs reference a pre-saved model file so the timed region measures the
 // co-scheduler (arrival draws, shared-engine replay, WFQ arbitration,
 // conflict analysis, solo baselines), not app characterization.  Emits
-// BENCH_tenant.json (iop-bench/1) for iop-diff --bench.
+// BENCH_tenant.json (iop-bench/1) for iop-diff.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>

@@ -1,5 +1,6 @@
 // iop-bench/1 JSON parsing, shared by every consumer of BENCH_*.json
-// documents (iop-diff --bench, the capture archive, the trend engine).
+// documents (the capture archive and the trend engine's series
+// extraction, which iop-diff's bench comparison goes through too).
 //
 // The schema is the one bench::writeBenchJson and the micro-benchmarks
 // write: one top-level object with a "schema" string equal to

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -11,23 +10,6 @@
 namespace iop::obs {
 
 namespace {
-
-std::string pct(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%+.1f%%", v);
-  return buf;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-double relChange(double a, double b) {
-  if (a == 0) return b == 0 ? 0 : 100.0;
-  return 100.0 * (b - a) / a;
-}
 
 /// Normalized L1 distance between two bucket-count vectors (0 = identical
 /// shape, 2 = disjoint support).
@@ -187,152 +169,117 @@ parseHistogramBuckets(const std::string& metricsCsv) {
   return out;
 }
 
-std::string DiffFinding::describe() const {
-  std::string what;
-  switch (kind) {
-    case Kind::Makespan: what = "makespan"; break;
-    case Kind::PhaseTime:
-      what = "phase " + std::to_string(phaseId) + " [" + subject + "] time";
-      break;
-    case Kind::PhaseBandwidth:
-      what = "phase " + std::to_string(phaseId) + " [" + subject +
-             "] bandwidth";
-      break;
-    case Kind::PhaseMissing:
-      what = "phase " + std::to_string(phaseId) + " [" + subject + "]";
-      break;
-    case Kind::HistogramShape:
-      what = "histogram " + subject + " shape";
-      break;
-  }
-  if (kind == Kind::PhaseMissing) {
-    return what + ": present in only one run";
-  }
-  if (kind == Kind::HistogramShape) {
-    return what + ": L1 distance " + num(after) +
-           (regression ? " (changed)" : "");
-  }
-  return what + ": " + num(before) + " -> " + num(after) + " (" +
-         pct(deltaPct) + (regression ? ", regression)" : ")");
-}
-
 std::size_t DiffResult::regressions() const noexcept {
-  std::size_t n = 0;
-  for (const auto& f : findings) {
-    if (f.regression) ++n;
-  }
-  return n;
+  return series.regressions() +
+         (onlyInOneIsRegression ? onlyInOne.size() : 0) +
+         changedShapes.size();
 }
 
-std::string DiffResult::render(const RunCapture& a,
-                               const RunCapture& b) const {
-  std::ostringstream out;
-  out << "diff: " << a.app << " np=" << a.np << " on " << a.config
-      << "  vs  " << b.app << " np=" << b.np << " on " << b.config << "\n";
-  out << "  makespan " << num(a.makespan) << " s -> " << num(b.makespan)
-      << " s (" << pct(relChange(a.makespan, b.makespan)) << ")\n";
-  if (findings.empty()) {
-    out << "  no changes beyond thresholds ("
-        << num(options.thresholdPct) << "% / L1 "
-        << num(options.histThreshold) << ")\n";
-  } else {
-    for (const auto& f : findings) {
-      out << "  " << (f.regression ? "REGRESSION  " : "change      ")
-          << f.describe() << "\n";
-    }
+std::size_t DiffResult::findings() const noexcept {
+  return series.flaggedSeries() + onlyInOne.size() + changedShapes.size();
+}
+
+std::string DiffResult::render() const {
+  std::ostringstream out;  // default stream format is %.6g
+  out << header << series.renderChanges();
+  for (const auto& what : onlyInOne) {
+    out << (onlyInOneIsRegression ? "  REGRESSION  " : "  change      ")
+        << what << ": present in only one run\n";
   }
-  out << "  " << regressions() << " regression(s), " << findings.size()
+  for (const auto& [metric, distance] : changedShapes) {
+    out << "  REGRESSION  histogram " << metric << " shape: L1 distance "
+        << distance << " (changed)\n";
+  }
+  if (findings() == 0) {
+    out << "  no changes beyond threshold (" << series.options.relFloorPct
+        << "%)\n";
+  }
+  out << "  " << regressions() << " regression(s), " << findings()
       << " finding(s)\n";
   return out.str();
 }
 
 DiffResult diffCaptures(const RunCapture& a, const RunCapture& b,
                         const DiffOptions& options) {
+  const TrendOptions rule = twoRunOptions(options.thresholdPct);
   DiffResult result;
-  result.options = options;
-  auto& f = result.findings;
+  result.onlyInOneIsRegression = true;
 
-  {
-    const double d = relChange(a.makespan, b.makespan);
-    if (std::fabs(d) > options.thresholdPct &&
-        std::fabs(b.makespan - a.makespan) > options.minSeconds) {
-      DiffFinding x;
-      x.kind = DiffFinding::Kind::Makespan;
-      x.regression = b.makespan > a.makespan;
-      x.subject = "makespan";
-      x.before = a.makespan;
-      x.after = b.makespan;
-      x.deltaPct = d;
-      f.push_back(std::move(x));
+  // b under a's identity and phase ids, so every matched metric lands in
+  // the same series as a's; b-only phases get fresh ids past a's and stay
+  // one-point series (reported below as present in one run only).
+  RunCapture onA;
+  onA.app = a.app;
+  onA.np = a.np;
+  onA.config = a.config;
+  onA.makespan = b.makespan;
+  int freshId = 0;
+  for (const auto& p : a.phases) freshId = std::max(freshId, p.id + 1);
+  for (const auto& [pa, pb] : alignPhases(a, b, options.align)) {
+    if (pa == nullptr || pb == nullptr) {
+      const CapturePhase& only = pa != nullptr ? *pa : *pb;
+      result.onlyInOne.push_back("phase " + std::to_string(only.id) + " [" +
+                                 only.label + "]");
+      if (pb == nullptr) continue;
     }
+    CapturePhase p = *pb;
+    if (pa != nullptr) {
+      p.id = pa->id;
+      p.label = pa->label;
+    } else {
+      p.id = freshId++;
+    }
+    onA.phases.push_back(std::move(p));
   }
+  SeriesSet set;
+  set.addCapture(a, 0, "before");
+  set.addCapture(onA, 1, "after");
+  result.series = std::move(set).judge(rule);
 
-  for (const auto& [paPtr, pbPtr] : alignPhases(a, b, options.align)) {
-    if (paPtr == nullptr || pbPtr == nullptr) {
-      const CapturePhase& only = paPtr != nullptr ? *paPtr : *pbPtr;
-      DiffFinding x;
-      x.kind = DiffFinding::Kind::PhaseMissing;
-      x.regression = true;
-      x.phaseId = only.id;
-      x.subject = only.label;
-      f.push_back(std::move(x));
-      continue;
-    }
-    const CapturePhase& pa = *paPtr;
-    const CapturePhase& pb = *pbPtr;
-    // Under similarity alignment a pair may carry two different ids; name
-    // the match in the subject so findings stay traceable to both runs.
-    const std::string subject =
-        pa.id == pb.id ? pa.label
-                       : pa.label + " ~ b:" + std::to_string(pb.id);
-    const double dt = relChange(pa.ioSeconds, pb.ioSeconds);
-    if (std::fabs(dt) > options.thresholdPct &&
-        std::fabs(pb.ioSeconds - pa.ioSeconds) > options.minSeconds) {
-      DiffFinding x;
-      x.kind = DiffFinding::Kind::PhaseTime;
-      x.regression = pb.ioSeconds > pa.ioSeconds;
-      x.phaseId = pa.id;
-      x.subject = subject;
-      x.before = pa.ioSeconds;
-      x.after = pb.ioSeconds;
-      x.deltaPct = dt;
-      f.push_back(std::move(x));
-    }
-    const double db = relChange(pa.bandwidth, pb.bandwidth);
-    if (std::fabs(db) > options.thresholdPct && pa.bandwidth > 0 &&
-        pb.bandwidth > 0) {
-      DiffFinding x;
-      x.kind = DiffFinding::Kind::PhaseBandwidth;
-      x.regression = pb.bandwidth < pa.bandwidth;
-      x.phaseId = pa.id;
-      x.subject = subject;
-      x.before = pa.bandwidth;
-      x.after = pb.bandwidth;
-      x.deltaPct = db;
-      f.push_back(std::move(x));
-    }
-  }
+  std::ostringstream header;
+  header << "diff: " << a.app << " np=" << a.np << " on " << a.config
+         << "  vs  " << b.app << " np=" << b.np << " on " << b.config
+         << "\n  makespan " << a.makespan << " s -> " << b.makespan
+         << " s\n";
+  result.header = header.str();
 
   if (!a.metricsCsv.empty() && !b.metricsCsv.empty()) {
-    const auto histA = parseHistogramBuckets(a.metricsCsv);
-    std::map<std::string, const std::vector<double>*> histB;
     const auto parsedB = parseHistogramBuckets(b.metricsCsv);
+    std::map<std::string, const std::vector<double>*> histB;
     for (const auto& [name, buckets] : parsedB) histB[name] = &buckets;
-    for (const auto& [name, bucketsA] : histA) {
+    for (const auto& [name, bucketsA] :
+         parseHistogramBuckets(a.metricsCsv)) {
       const auto it = histB.find(name);
       if (it == histB.end()) continue;
+      // A shape change is always worth a look in CI: it is a regression.
       const double d = l1Distance(bucketsA, *it->second);
-      if (d > options.histThreshold) {
-        DiffFinding x;
-        x.kind = DiffFinding::Kind::HistogramShape;
-        x.regression = true;  // a shape change is always worth a look in CI
-        x.subject = name;
-        x.after = d;
-        f.push_back(std::move(x));
+      if (d > kHistogramShapeThreshold) {
+        result.changedShapes.emplace_back(name, d);
       }
     }
   }
+  return result;
+}
 
+DiffResult diffBench(const std::vector<BenchEntry>& a,
+                     const std::vector<BenchEntry>& b,
+                     const DiffOptions& options) {
+  const TrendOptions rule = twoRunOptions(options.thresholdPct);
+  SeriesSet set;
+  set.addBench(a, "bench", 0, "before");
+  set.addBench(b, "bench", 1, "after");
+  DiffResult result;
+  result.series = std::move(set).judge(rule);
+  std::size_t shared = 0;
+  for (const auto& s : result.series.series) {
+    if (s.points.size() == 1) {
+      result.onlyInOne.push_back(s.metric);
+    } else {
+      ++shared;
+    }
+  }
+  result.header =
+      "bench diff: " + std::to_string(shared) + " metric(s) in both runs\n";
   return result;
 }
 

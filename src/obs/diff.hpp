@@ -1,18 +1,27 @@
-// Run-to-run regression diffing over two captures.
+// Two-run regression diffing: captures or iop-bench/1 documents.
 //
-// Phases are aligned by id (the model's phase sequence is stable for a
-// given application), then compared on measured I/O time, bandwidth, and
-// — when both captures carry metrics — the *shape* of every shared
-// queue-depth/latency histogram, measured as the normalized L1 distance
-// between bucket distributions.  Each comparison beyond its threshold
-// becomes a finding; `regressions()` counts only the ones that got
-// *worse*, which is what drives iop-diff's non-zero CI exit code.
+// The verdict is the trend rule's (obs/trend.hpp) in its one-prior-point
+// case: both runs go through SeriesSet as a two-point series per metric
+// and are judged with twoRunOptions(thresholdPct), which flags exactly
+// when |delta%| > thresholdPct.  This module keeps only what the rule
+// cannot express:
+//   * phase alignment — b's phases are renumbered onto a's ids first, by
+//     id or by renumbering-tolerant similarity;
+//   * phases present in one capture only, which count as regressions
+//     (bench results present in one document only are reported but do
+//     not);
+//   * the *shape* of every shared queue-depth/latency histogram, measured
+//     as the normalized L1 distance between bucket distributions.
+// `regressions()` drives iop-diff's non-zero CI exit code.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/benchjson.hpp"
 #include "obs/capture.hpp"
+#include "obs/trend.hpp"
 
 namespace iop::obs {
 
@@ -27,41 +36,41 @@ enum class AlignMode { ById, BySimilarity };
 /// "id" | "similarity" (throws std::invalid_argument).
 AlignMode parseAlignMode(const std::string& name);
 
+/// Normalized L1 distance (0..2) beyond which a histogram's bucket
+/// distribution counts as changed shape.
+inline constexpr double kHistogramShapeThreshold = 0.25;
+
 struct DiffOptions {
-  /// Relative change in percent beyond which a per-phase time/bandwidth
-  /// delta or the makespan delta counts as a finding.
+  /// Relative change in percent beyond which a metric counts as changed.
   double thresholdPct = 5.0;
-  /// Normalized L1 distance (0..2) beyond which a histogram's bucket
-  /// distribution counts as changed shape.
-  double histThreshold = 0.25;
-  /// Ignore phase time deltas below this many seconds (fp noise floor).
-  double minSeconds = 1e-9;
   AlignMode align = AlignMode::ById;
 };
 
-struct DiffFinding {
-  enum class Kind { Makespan, PhaseTime, PhaseBandwidth, PhaseMissing,
-                    HistogramShape };
-  Kind kind = Kind::PhaseTime;
-  bool regression = false;  ///< true when B is worse than A
-  int phaseId = -1;         ///< phase findings only
-  std::string subject;      ///< phase label or histogram metric name
-  double before = 0;
-  double after = 0;
-  double deltaPct = 0;      ///< signed relative change, percent
-  std::string describe() const;
-};
-
 struct DiffResult {
-  DiffOptions options;
-  std::vector<DiffFinding> findings;
+  std::string header;   ///< what was compared, first line(s) of render()
+  /// Two-point series (a's value, then b's), judged by the trend rule.
+  /// One-point series are metrics that only one run measured.
+  TrendReport series;
+  /// Phases (captures) or metrics (bench) present in one run only.
+  std::vector<std::string> onlyInOne;
+  bool onlyInOneIsRegression = false;  ///< true for captures
+  /// Shared histograms whose shape changed: (metric, L1 distance).
+  std::vector<std::pair<std::string, double>> changedShapes;
 
   std::size_t regressions() const noexcept;
-  std::string render(const RunCapture& a, const RunCapture& b) const;
+  std::size_t findings() const noexcept;
+  std::string render() const;
 };
 
 DiffResult diffCaptures(const RunCapture& a, const RunCapture& b,
                         const DiffOptions& options = {});
+
+/// Results are matched by name; `options.align` does not apply.  The
+/// default threshold is 10%: wall-clock benchmarks are noisier than
+/// simulated captures.
+DiffResult diffBench(const std::vector<BenchEntry>& a,
+                     const std::vector<BenchEntry>& b,
+                     const DiffOptions& options = {.thresholdPct = 10.0});
 
 /// Phase matching between two captures (exposed for tests).  Each pair has
 /// at least one side set; a nullptr side means the phase is unmatched.

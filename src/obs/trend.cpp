@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/archive.hpp"
-#include "obs/recorder.hpp"
+#include "obs/capture.hpp"
 
 namespace iop::obs {
 
@@ -19,13 +19,29 @@ std::string num(double v) {
   return buf;
 }
 
+/// Smallest scale the rule divides by: deltas at or below it (1 ns of a
+/// time metric) never flag, whatever the relative floor.
+constexpr double kAbsoluteFloor = 1e-9;
+
+/// Throws std::invalid_argument naming `--option` unless `value` is
+/// finite and > 0 (or >= 0 with `allowZero`).
+void requireFinite(const char* option, double value, bool allowZero) {
+  if (std::isfinite(value) && (value > 0 || (allowZero && value == 0))) {
+    return;
+  }
+  throw std::invalid_argument(std::string("--") + option +
+                              " must be finite and " +
+                              (allowZero ? ">= 0" : "> 0") + ", got " +
+                              num(value));
+}
+
 /// Scale used to turn a raw delta into robust sigma units: consistent
 /// MAD estimator with a relative floor so deterministic histories
 /// (MAD = 0) still measure change sensibly.
 double robustScale(double mad, double median, const TrendOptions& options) {
   const double consistent = 1.4826 * mad;
   const double floor = options.relFloorPct / 100.0 * std::fabs(median);
-  return std::max({consistent, floor, 1e-12});
+  return std::max({consistent, floor, kAbsoluteFloor});
 }
 
 void judgeSeries(TrendSeries& s, const TrendOptions& options) {
@@ -39,49 +55,16 @@ void judgeSeries(TrendSeries& s, const TrendOptions& options) {
   s.baselineMad = madOf(history, s.baselineMedian);
   const double scale = robustScale(s.baselineMad, s.baselineMedian, options);
   s.deviation = (s.points.back().value - s.baselineMedian) / scale;
-  if (history.size() < options.minHistory) return;
+  if (history.size() < static_cast<std::size_t>(options.minHistory)) return;
   s.flagged = std::fabs(s.deviation) > options.madThreshold;
   const bool worse = s.lowerIsBetter ? s.deviation > 0 : s.deviation < 0;
   s.regression = s.flagged && worse;
 }
 
-struct SeriesBuilder {
-  // Keyed so iteration yields the canonical report order: captures
-  // grouped by (app, config, np) with makespan first, then the residual,
-  // then phases by id; bench snapshots after, by (name, result, field).
-  std::map<std::tuple<std::string, std::string, int, int, int, std::string>,
-           TrendSeries>
-      series;
-
-  TrendSeries& at(const std::string& kind, const std::string& app,
-                  const std::string& config, int np, int rank, int phaseId,
-                  const std::string& metric, bool lowerIsBetter) {
-    auto& s = series[{app, config, np, rank, phaseId, metric}];
-    if (s.metric.empty()) {
-      s.kind = kind;
-      s.app = app;
-      s.config = config;
-      s.np = np;
-      s.metric = metric;
-      s.lowerIsBetter = lowerIsBetter;
-    }
-    return s;
-  }
-
-  void addPoint(TrendSeries& s, const ArchiveEntry& entry, double value) {
-    s.points.push_back(TrendPoint{entry.seq, entry.label, value});
-  }
-};
-
 std::string pct(double deltaPct) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%+.1f%%", deltaPct);
   return buf;
-}
-
-double relDeltaPct(double baseline, double latest) {
-  if (baseline == 0) return latest == 0 ? 0 : 100.0;
-  return 100.0 * (latest - baseline) / baseline;
 }
 
 std::string htmlEscape(const std::string& raw) {
@@ -139,6 +122,29 @@ std::string sparkline(const std::vector<double>& values) {
   return out;
 }
 
+void TrendOptions::validate() const {
+  requireFinite("mad-threshold", madThreshold, false);
+  requireFinite("rel-floor-pct", relFloorPct, true);
+  if (minHistory < 0) {
+    throw std::invalid_argument("--min-history must be >= 0, got " +
+                                std::to_string(minHistory));
+  }
+}
+
+TrendOptions twoRunOptions(double thresholdPct) {
+  requireFinite("threshold-pct", thresholdPct, false);
+  TrendOptions options;
+  options.madThreshold = 1;
+  options.relFloorPct = thresholdPct;
+  options.minHistory = 1;
+  return options;
+}
+
+double TrendSeries::deltaPct() const noexcept {
+  if (baselineMedian == 0) return latest() == 0 ? 0 : 100.0;
+  return 100.0 * (latest() - baselineMedian) / baselineMedian;
+}
+
 std::string TrendSeries::title() const {
   if (kind == "bench") return app + " " + metric;
   return app + "/" + config + "/np" + std::to_string(np) + " " + metric;
@@ -160,53 +166,62 @@ std::size_t TrendReport::flaggedSeries() const noexcept {
   return n;
 }
 
-TrendReport analyzeTrends(const Archive& archive,
-                          const TrendOptions& options) {
-  TrendReport report;
-  report.options = options;
-  SeriesBuilder builder;
+TrendSeries& SeriesSet::at(const std::string& kind, const std::string& app,
+                           const std::string& config, int np, int rank,
+                           int phaseId, const std::string& metric,
+                           bool lowerIsBetter) {
+  auto& s = series_[{app, config, np, rank, phaseId, metric}];
+  if (s.metric.empty()) {
+    s.kind = kind;
+    s.app = app;
+    s.config = config;
+    s.np = np;
+    s.metric = metric;
+    s.lowerIsBetter = lowerIsBetter;
+  }
+  return s;
+}
 
-  for (const auto& entry : archive.list()) {
-    if (entry.kind == "capture") {
-      const RunCapture cap = archive.loadCapture(entry);
-      auto& makespan = builder.at("capture", entry.app, entry.config,
-                                  entry.np, 0, 0, "makespan", true);
-      builder.addPoint(makespan, entry, cap.makespan);
-      double ioSum = 0;
-      for (const auto& p : cap.phases) ioSum += p.ioSeconds;
-      auto& residual = builder.at("capture", entry.app, entry.config,
-                                  entry.np, 1, 0, "eq12 residual", true);
-      builder.addPoint(residual, entry, cap.makespan - ioSum);
-      for (const auto& p : cap.phases) {
-        const std::string suffix =
-            std::to_string(p.id) + " [" + p.label + "]";
-        auto& time = builder.at("capture", entry.app, entry.config,
-                                entry.np, 2, p.id, "phase " + suffix +
-                                " time", true);
-        builder.addPoint(time, entry, p.ioSeconds);
-        auto& bw = builder.at("capture", entry.app, entry.config, entry.np,
-                              3, p.id, "phase " + suffix + " bandwidth",
-                              false);
-        builder.addPoint(bw, entry, p.bandwidth);
-      }
-    } else {
-      for (const auto& result : archive.loadBench(entry)) {
-        if (result.nsPerOp > 0) {
-          auto& ns = builder.at("bench", entry.app, entry.config, entry.np,
-                                4, 0, result.name + " ns/op", true);
-          builder.addPoint(ns, entry, result.nsPerOp);
-        }
-        if (result.bytesPerSecond > 0) {
-          auto& bps = builder.at("bench", entry.app, entry.config,
-                                 entry.np, 5, 0, result.name + " bytes/s",
-                                 false);
-          builder.addPoint(bps, entry, result.bytesPerSecond);
-        }
-      }
+void SeriesSet::addCapture(const RunCapture& cap, std::uint64_t seq,
+                           const std::string& label) {
+  const auto add = [&](int rank, int phaseId, const std::string& metric,
+                       bool lowerIsBetter, double value) {
+    at("capture", cap.app, cap.config, cap.np, rank, phaseId, metric,
+       lowerIsBetter)
+        .points.push_back(TrendPoint{seq, label, value});
+  };
+  add(0, 0, "makespan", true, cap.makespan);
+  double ioSum = 0;
+  for (const auto& p : cap.phases) ioSum += p.ioSeconds;
+  add(1, 0, "eq12 residual", true, cap.makespan - ioSum);
+  for (const auto& p : cap.phases) {
+    const std::string phase =
+        "phase " + std::to_string(p.id) + " [" + p.label + "]";
+    add(2, p.id, phase + " time", true, p.ioSeconds);
+    if (p.bandwidth > 0) add(3, p.id, phase + " bandwidth", false, p.bandwidth);
+  }
+}
+
+void SeriesSet::addBench(const std::vector<BenchEntry>& results,
+                         const std::string& name, std::uint64_t seq,
+                         const std::string& label) {
+  for (const auto& result : results) {
+    if (result.nsPerOp > 0) {
+      at("bench", name, "bench", 0, 4, 0, result.name + " ns/op", true)
+          .points.push_back(TrendPoint{seq, label, result.nsPerOp});
+    }
+    if (result.bytesPerSecond > 0) {
+      at("bench", name, "bench", 0, 5, 0, result.name + " bytes/s", false)
+          .points.push_back(TrendPoint{seq, label, result.bytesPerSecond});
     }
   }
+}
 
-  for (auto& [key, s] : builder.series) {
+TrendReport SeriesSet::judge(const TrendOptions& options) && {
+  options.validate();
+  TrendReport report;
+  report.options = options;
+  for (auto& [key, s] : series_) {
     if (!options.metricFilter.empty() &&
         s.title().find(options.metricFilter) == std::string::npos) {
       continue;
@@ -215,6 +230,20 @@ TrendReport analyzeTrends(const Archive& archive,
     report.series.push_back(std::move(s));
   }
   return report;
+}
+
+TrendReport analyzeTrends(const Archive& archive,
+                          const TrendOptions& options) {
+  SeriesSet set;
+  for (const auto& entry : archive.list()) {
+    if (entry.kind == "capture") {
+      set.addCapture(archive.loadCapture(entry), entry.seq, entry.label);
+    } else {
+      set.addBench(archive.loadBench(entry), entry.app, entry.seq,
+                   entry.label);
+    }
+  }
+  return std::move(set).judge(options);
 }
 
 std::string TrendReport::renderText() const {
@@ -231,7 +260,7 @@ std::string TrendReport::renderText() const {
         << s.points.size() << " last=" << num(s.latest());
     if (s.points.size() >= 2) {
       out << " median=" << num(s.baselineMedian) << " ("
-          << pct(relDeltaPct(s.baselineMedian, s.latest())) << ", "
+          << pct(s.deltaPct()) << ", "
           << num(s.deviation) << " sigma)";
     }
     if (s.regression) {
@@ -252,9 +281,21 @@ std::string TrendReport::renderCheck() const {
     if (!s.regression) continue;
     out << "REGRESSION " << s.title() << ": " << num(s.latest()) << " vs "
         << "median " << num(s.baselineMedian) << " ("
-        << pct(relDeltaPct(s.baselineMedian, s.latest())) << ", "
+        << pct(s.deltaPct()) << ", "
         << num(s.deviation) << " sigma over " << (s.points.size() - 1)
         << " prior runs, label " << s.points.back().label << ")\n";
+  }
+  return out.str();
+}
+
+std::string TrendReport::renderChanges() const {
+  std::ostringstream out;
+  for (const auto& s : series) {
+    if (!s.flagged) continue;
+    out << (s.regression ? "  REGRESSION  " : "  change      ") << s.metric
+        << ": " << num(s.baselineMedian) << " -> " << num(s.latest())
+        << " (" << pct(s.deltaPct()) << (s.regression ? ", regression)" : ")")
+        << "\n";
   }
   return out.str();
 }
@@ -321,7 +362,7 @@ std::string TrendReport::renderHtml() const {
     if (s.points.size() >= 2) {
       out << "<td class=\"num\">" << num(s.baselineMedian) << "</td>"
           << "<td class=\"num\">"
-          << pct(relDeltaPct(s.baselineMedian, s.latest())) << "</td>"
+          << pct(s.deltaPct()) << "</td>"
           << "<td class=\"num\">" << num(s.deviation) << "</td>";
     } else {
       out << "<td class=\"num\"></td><td class=\"num\"></td>"

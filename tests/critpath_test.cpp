@@ -14,7 +14,7 @@
 #include "apps/btio.hpp"
 #include "apps/madbench.hpp"
 #include "configs/configs.hpp"
-#include "obs/benchdiff.hpp"
+#include "obs/benchjson.hpp"
 #include "obs/capture.hpp"
 #include "obs/critpath.hpp"
 #include "obs/diff.hpp"
@@ -253,7 +253,7 @@ TEST(RunCapture, RejectsForeignFiles) {
 TEST(Diff, IdenticalCapturesProduceNoFindings) {
   const auto cap = sampleCapture();
   const auto result = obs::diffCaptures(cap, cap);
-  EXPECT_TRUE(result.findings.empty());
+  EXPECT_EQ(result.findings(), 0u);
   EXPECT_EQ(result.regressions(), 0u);
 }
 
@@ -266,11 +266,12 @@ TEST(Diff, SlowerPhaseAndMakespanAreRegressions) {
   const auto result = obs::diffCaptures(a, b);
   EXPECT_GE(result.regressions(), 2u);
   bool sawMakespan = false;
-  for (const auto& f : result.findings) {
-    if (f.kind == obs::DiffFinding::Kind::Makespan) {
+  for (const auto& s : result.series.series) {
+    if (s.metric == "makespan") {
       sawMakespan = true;
-      EXPECT_TRUE(f.regression);
-      EXPECT_NEAR(f.deltaPct, 50.0, 1e-9);
+      EXPECT_TRUE(s.flagged);
+      EXPECT_TRUE(s.regression);
+      EXPECT_NEAR(s.deltaPct(), 50.0, 1e-9);
     }
   }
   EXPECT_TRUE(sawMakespan);
@@ -282,7 +283,7 @@ TEST(Diff, ImprovementsAreFindingsButNotRegressions) {
   b.phases[0].ioSeconds /= 2;
   b.phases[0].bandwidth *= 2;
   const auto result = obs::diffCaptures(a, b);
-  EXPECT_FALSE(result.findings.empty());
+  EXPECT_GT(result.findings(), 0u);
   EXPECT_EQ(result.regressions(), 0u);
 }
 
@@ -294,11 +295,9 @@ TEST(Diff, HistogramShapeChangeIsDetected) {
       "disk.queue_depth,histogram,le_1,0\n"
       "disk.queue_depth,histogram,le_inf,4\n";
   const auto result = obs::diffCaptures(a, b);
-  bool sawShape = false;
-  for (const auto& f : result.findings) {
-    if (f.kind == obs::DiffFinding::Kind::HistogramShape) sawShape = true;
-  }
-  EXPECT_TRUE(sawShape);
+  ASSERT_EQ(result.changedShapes.size(), 1u);
+  EXPECT_EQ(result.changedShapes[0].first, "disk.queue_depth");
+  EXPECT_GT(result.regressions(), 0u);
 }
 
 TEST(Diff, ThresholdsSuppressSmallChanges) {
@@ -392,6 +391,7 @@ TEST(DiffAlign, SimilarityMatchesRenumberedPhases) {
     if (pa != nullptr && pb != nullptr) ++matchedById;
   }
   EXPECT_EQ(matchedById, 0u);
+  EXPECT_EQ(obs::diffCaptures(a, b).onlyInOne.size(), 6u);
 
   // By similarity: every phase pairs up in order within its label group.
   const auto bySim = obs::alignPhases(a, b, obs::AlignMode::BySimilarity);
@@ -466,9 +466,9 @@ TEST(BenchDiff, FlagsRegressionsBeyondThreshold) {
   after[0].nsPerOp *= 1.5;          // +50% time: regression
   after[0].bytesPerSecond *= 0.6;   // -40% throughput: regression
   after[1].nsPerOp *= 0.5;          // improvement: finding, not regression
-  const auto result = obs::diffBenchResults(before, after, {});
+  const auto result = obs::diffBench(before, after);
   EXPECT_EQ(result.regressions(), 2u);
-  EXPECT_GE(result.findings.size(), 3u);
+  EXPECT_GE(result.findings(), 3u);
   EXPECT_NE(result.render().find("replay/btio"), std::string::npos);
 }
 
@@ -476,23 +476,23 @@ TEST(BenchDiff, ThresholdSuppressesNoise) {
   auto before = obs::parseBenchJson(kBenchA);
   auto after = before;
   after[0].nsPerOp *= 1.05;  // +5% < default 10%
-  EXPECT_EQ(obs::diffBenchResults(before, after, {}).regressions(), 0u);
-  obs::BenchDiffOptions strict;
+  EXPECT_EQ(obs::diffBench(before, after).regressions(), 0u);
+  obs::DiffOptions strict;
   strict.thresholdPct = 1.0;
-  EXPECT_EQ(obs::diffBenchResults(before, after, strict).regressions(), 1u);
+  EXPECT_EQ(obs::diffBench(before, after, strict).regressions(), 1u);
 }
 
 TEST(BenchDiff, MissingResultsAreReportedButNotRegressions) {
   auto before = obs::parseBenchJson(kBenchA);
   auto after = before;
   after.pop_back();
-  const auto result = obs::diffBenchResults(before, after, {});
+  const auto result = obs::diffBench(before, after);
   EXPECT_EQ(result.regressions(), 0u);
-  bool sawMissing = false;
-  for (const auto& f : result.findings) {
-    if (f.kind == obs::BenchDiffFinding::Kind::Missing) sawMissing = true;
-  }
-  EXPECT_TRUE(sawMissing);
+  ASSERT_EQ(result.onlyInOne.size(), 1u);
+  EXPECT_EQ(result.onlyInOne[0], "extract/model ns/op");
+  EXPECT_NE(
+      result.render().find("extract/model ns/op: present in only one run"),
+      std::string::npos);
 }
 
 TEST(Logger, ParseLevelNamesRoundTrip) {

@@ -1,10 +1,13 @@
 // Longitudinal observability: capture format v2 (columnar,
 // block-compressed, checksummed), the content-addressed capture archive,
-// and the trend engine's median/MAD change-point rule.
+// and the trend engine's median/MAD change-point rule — including its
+// one-prior-point case, the two-run iop-diff comparison.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -157,7 +160,7 @@ TEST(CaptureV2, DiffSeesV1AndV2EncodingsAsIdentical) {
       obs::RunCapture::parse(cap.serialize(obs::CaptureFormat::V2));
   const auto result = obs::diffCaptures(cap, v2);
   EXPECT_EQ(result.regressions(), 0u);
-  EXPECT_TRUE(result.findings.empty());
+  EXPECT_EQ(result.findings(), 0u);
 }
 
 TEST(CaptureV2, CompressesBelowFortyPercentOfV1) {
@@ -483,6 +486,256 @@ TEST(Trend, HtmlReportIsSelfContained) {
   EXPECT_EQ(html.find("http://"), std::string::npos);
   EXPECT_EQ(html.find("https://"), std::string::npos);
   EXPECT_EQ(html.find("src="), std::string::npos);
+}
+
+TEST(Trend, UnmeasuredBandwidthIsNotASeriesPoint) {
+  obs::SeriesSet set;
+  auto cap = realisticCapture();
+  cap.phases.resize(1);
+  cap.phases[0].bandwidth = 0;
+  set.addCapture(cap, 1, "only");
+  const auto report = std::move(set).judge({});
+  for (const auto& s : report.series) {
+    EXPECT_EQ(s.metric.find("bandwidth"), std::string::npos) << s.metric;
+  }
+  EXPECT_EQ(report.series.size(), 3u);  // makespan, residual, phase time
+}
+
+// --- option validation: values that would switch the rule off ----------
+
+void expectRejected(const obs::TrendOptions& options,
+                    const std::string& option) {
+  try {
+    options.validate();
+    ADD_FAILURE() << option << " value accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+        << e.what();
+  }
+}
+
+obs::TrendOptions withMadThreshold(double value) {
+  obs::TrendOptions options;
+  options.madThreshold = value;
+  return options;
+}
+
+obs::TrendOptions withRelFloor(double value) {
+  obs::TrendOptions options;
+  options.relFloorPct = value;
+  return options;
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TrendOptions, RejectsNanMadThreshold) {
+  expectRejected(withMadThreshold(kNan), "--mad-threshold");
+}
+
+TEST(TrendOptions, RejectsInfiniteMadThreshold) {
+  expectRejected(withMadThreshold(kInf), "--mad-threshold");
+}
+
+TEST(TrendOptions, RejectsZeroMadThreshold) {
+  expectRejected(withMadThreshold(0), "--mad-threshold");
+}
+
+TEST(TrendOptions, RejectsNegativeMadThreshold) {
+  expectRejected(withMadThreshold(-4), "--mad-threshold");
+}
+
+TEST(TrendOptions, RejectsNanRelFloor) {
+  expectRejected(withRelFloor(kNan), "--rel-floor-pct");
+}
+
+TEST(TrendOptions, RejectsInfiniteRelFloor) {
+  expectRejected(withRelFloor(kInf), "--rel-floor-pct");
+}
+
+TEST(TrendOptions, RejectsNegativeRelFloor) {
+  expectRejected(withRelFloor(-1), "--rel-floor-pct");
+}
+
+TEST(TrendOptions, RejectsNegativeMinHistory) {
+  obs::TrendOptions options;
+  options.minHistory = -1;
+  expectRejected(options, "--min-history");
+}
+
+void expectThresholdPctRejected(double value) {
+  try {
+    obs::twoRunOptions(value);
+    ADD_FAILURE() << "--threshold-pct " << value << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threshold-pct"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TrendOptions, RejectsNanThresholdPct) { expectThresholdPctRejected(kNan); }
+
+TEST(TrendOptions, RejectsInfiniteThresholdPct) {
+  expectThresholdPctRejected(kInf);
+}
+
+TEST(TrendOptions, RejectsZeroThresholdPct) { expectThresholdPctRejected(0); }
+
+TEST(TrendOptions, RejectsNegativeThresholdPct) {
+  expectThresholdPctRejected(-5);
+}
+
+TEST(TrendOptions, AcceptsDefaultsAndBoundaryValues) {
+  EXPECT_NO_THROW(obs::TrendOptions{}.validate());
+  obs::TrendOptions edge;
+  edge.relFloorPct = 0;
+  edge.minHistory = 0;
+  EXPECT_NO_THROW(edge.validate());
+  const auto twoRun = obs::twoRunOptions(5);
+  EXPECT_NO_THROW(twoRun.validate());
+  EXPECT_EQ(twoRun.madThreshold, 1);
+  EXPECT_EQ(twoRun.relFloorPct, 5);
+  EXPECT_EQ(twoRun.minHistory, 1);
+}
+
+TEST(TrendOptions, EveryEntryPointValidates) {
+  TempDir dir("validate");
+  obs::Archive archive(dir.path());
+  EXPECT_THROW(obs::analyzeTrends(archive, withMadThreshold(kNan)),
+               std::invalid_argument);
+  const auto cap = realisticCapture();
+  obs::DiffOptions nanThreshold;
+  nanThreshold.thresholdPct = kNan;
+  EXPECT_THROW(obs::diffCaptures(cap, cap, nanThreshold),
+               std::invalid_argument);
+  EXPECT_THROW(obs::diffBench({}, {}, nanThreshold), std::invalid_argument);
+}
+
+// --- one rule: the two-run diff is the one-prior-point trend ------------
+
+struct RuleCase {
+  double before;
+  double after;
+  double thresholdPct;
+};
+
+// Both sides of each boundary, for rises and falls.
+constexpr RuleCase kRuleCases[] = {
+    {100, 104.9, 5},   {100, 105.1, 5},    {100, 95.1, 5},
+    {100, 94.9, 5},    {2.0, 2.19, 10},    {2.0, 2.21, 10},
+    {2.0, 1.81, 10},   {2.0, 1.79, 10},    {1000, 3990, 300},
+    {1000, 4010, 300}, {0.25, 0.2501, 1},  {0.25, 0.26, 1},
+    {7.5, 7.5, 5},
+};
+
+bool beyond(const RuleCase& c) {
+  return std::fabs(100.0 * (c.after - c.before) / c.before) > c.thresholdPct;
+}
+
+obs::RunCapture onePhaseCapture(double value) {
+  obs::RunCapture cap;
+  cap.app = "btio";
+  cap.np = 4;
+  cap.config = "Configuration A";
+  cap.makespan = 1000;
+  obs::CapturePhase p;
+  p.id = 1;
+  p.label = "W f1";
+  p.ioSeconds = value;          // lower is better
+  p.bandwidth = value * 1e6;    // higher is better
+  cap.phases.push_back(p);
+  return cap;
+}
+
+std::string benchDoc(double value) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{\"schema\":\"iop-bench/1\",\"results\":[{\"name\":\"BM_X\","
+      << "\"iterations\":10,\"ns_per_op\":" << value
+      << ",\"bytes_per_second\":" << value * 1e6 << "}]}";
+  return out.str();
+}
+
+const obs::TrendSeries& seriesNamed(const obs::TrendReport& report,
+                                    const std::string& metric) {
+  for (const auto& s : report.series) {
+    if (s.metric == metric) return s;
+  }
+  throw std::runtime_error("no series " + metric);
+}
+
+/// The two-run verdict on `metric` is |delta%| > threshold, flagged in
+/// the bad direction only.
+void expectTwoRunVerdict(const obs::TrendReport& report,
+                         const std::string& metric, const RuleCase& c) {
+  const auto& s = seriesNamed(report, metric);
+  ASSERT_EQ(s.points.size(), 2u);
+  EXPECT_EQ(s.flagged, beyond(c)) << metric << " " << c.before << " -> "
+                                  << c.after << " at " << c.thresholdPct
+                                  << "%";
+  const bool worse = s.lowerIsBetter ? c.after > c.before
+                                     : c.after < c.before;
+  EXPECT_EQ(s.regression, beyond(c) && worse) << metric;
+}
+
+/// Same series, same verdicts, same deviations.
+void expectSameVerdicts(const obs::TrendReport& diff,
+                        const obs::TrendReport& trend) {
+  ASSERT_EQ(diff.series.size(), trend.series.size());
+  for (std::size_t i = 0; i < diff.series.size(); ++i) {
+    EXPECT_EQ(diff.series[i].metric, trend.series[i].metric);
+    EXPECT_EQ(diff.series[i].flagged, trend.series[i].flagged)
+        << diff.series[i].metric;
+    EXPECT_EQ(diff.series[i].regression, trend.series[i].regression)
+        << diff.series[i].metric;
+    EXPECT_EQ(diff.series[i].deviation, trend.series[i].deviation)
+        << diff.series[i].metric;
+  }
+}
+
+TEST(OneRule, CaptureDiffFlagsExactlyBeyondThreshold) {
+  int n = 0;
+  for (const auto& c : kRuleCases) {
+    const auto a = onePhaseCapture(c.before);
+    const auto b = onePhaseCapture(c.after);
+    obs::DiffOptions options;
+    options.thresholdPct = c.thresholdPct;
+    const auto diff = obs::diffCaptures(a, b, options);
+    expectTwoRunVerdict(diff.series, "phase 1 [W f1] time", c);
+    expectTwoRunVerdict(diff.series, "phase 1 [W f1] bandwidth", c);
+
+    // The same two captures as a 2-entry archive, judged by the trend
+    // engine under the two-run options: identical per-series verdicts.
+    TempDir dir("onerule_cap" + std::to_string(n++));
+    obs::Archive archive(dir.path());
+    archive.addCapture(a, "before");
+    archive.addCapture(b, "after");
+    expectSameVerdicts(
+        diff.series,
+        obs::analyzeTrends(archive, obs::twoRunOptions(c.thresholdPct)));
+  }
+}
+
+TEST(OneRule, BenchDiffFlagsExactlyBeyondThreshold) {
+  int n = 0;
+  for (const auto& c : kRuleCases) {
+    const auto a = obs::parseBenchJson(benchDoc(c.before));
+    const auto b = obs::parseBenchJson(benchDoc(c.after));
+    obs::DiffOptions options;
+    options.thresholdPct = c.thresholdPct;
+    const auto diff = obs::diffBench(a, b, options);
+    expectTwoRunVerdict(diff.series, "BM_X ns/op", c);
+    expectTwoRunVerdict(diff.series, "BM_X bytes/s", c);
+
+    TempDir dir("onerule_bench" + std::to_string(n++));
+    obs::Archive archive(dir.path());
+    archive.addBench(benchDoc(c.before), "bench", "before");
+    archive.addBench(benchDoc(c.after), "bench", "after");
+    expectSameVerdicts(
+        diff.series,
+        obs::analyzeTrends(archive, obs::twoRunOptions(c.thresholdPct)));
+  }
 }
 
 // --- shared bench JSON parser (hoisted out of benchdiff) ----------------

@@ -1,18 +1,21 @@
-// iop-diff: compare two run captures (iop-stats --capture-out) and report
-// per-phase time/bandwidth regressions and histogram shape changes, or —
-// with --bench — compare two BENCH_*.json documents (iop-bench/1).  Exits
-// non-zero when regressions were found, so CI can gate on it:
+// iop-diff: compare two run captures (iop-stats --capture-out) or two
+// BENCH_*.json documents (iop-bench/1) — the kind is read from the file
+// contents — and report every metric that moved by more than
+// --threshold-pct, plus changed phases and histogram shapes for captures.
+// The verdict is the trend rule's with one prior point
+// (docs/OBSERVABILITY.md).  Exits 1 when regressions were found, so CI
+// can gate on it, and 2 on usage errors or a capture/bench mix:
 //
 //   iop-stats --app btio --class A --np 4 --capture-out base.cap
 //   iop-stats --app btio --class A --np 4 --capture-out head.cap
 //   iop-diff base.cap head.cap --threshold-pct 5
 //   iop-diff --align=similarity old-model.cap new-model.cap
-//   iop-diff --bench BENCH_core.base.json BENCH_core.json
+//   iop-diff BENCH_core.base.json BENCH_core.json
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "obs/benchdiff.hpp"
+#include "obs/benchjson.hpp"
 #include "obs/capture.hpp"
 #include "obs/diff.hpp"
 #include "toolkit.hpp"
@@ -28,19 +31,14 @@ std::string readFile(const std::string& path) {
   return buffer.str();
 }
 
-int runBenchDiff(const iop::util::Args& args, iop::obs::Logger& log) {
-  using namespace iop;
-  obs::BenchDiffOptions options;
-  options.thresholdPct = args.getDouble("threshold-pct", 10.0);
-  const auto before = obs::parseBenchJson(readFile(args.positional()[0]));
-  const auto after = obs::parseBenchJson(readFile(args.positional()[1]));
-  const auto result = obs::diffBenchResults(before, after, options);
-  std::printf("%s", result.render().c_str());
-  log.info("diff", "bench_complete",
-           "\"findings\":" + std::to_string(result.findings.size()) +
-               ",\"regressions\":" +
-               std::to_string(result.regressions()));
-  return result.regressions() == 0 ? 0 : 1;
+/// Captures start with their "iop-capture" magic; bench documents are
+/// JSON objects.
+bool isCapture(const std::string& bytes) {
+  if (bytes.rfind("iop-capture", 0) == 0) return true;
+  const auto first = bytes.find_first_not_of(" \t\r\n");
+  if (first != std::string::npos && bytes[first] == '{') return false;
+  throw std::invalid_argument(
+      "input is neither a run capture nor an iop-bench/1 JSON document");
 }
 
 }  // namespace
@@ -49,57 +47,56 @@ int main(int argc, char** argv) {
   using namespace iop;
   util::Args args;
   args.addOption("threshold-pct",
-                 "relative change (%) flagged on makespan and per-phase "
-                 "time/bandwidth (capture mode, default 5) or per-result "
-                 "ns/op and bytes/s (--bench, default 10)");
-  args.addOption("hist-threshold",
-                 "normalized L1 distance (0..2) flagged on histogram "
-                 "bucket shapes",
-                 "0.25");
-  args.addOption("min-seconds",
-                 "ignore absolute time deltas below this floor", "1e-9");
+                 "relative change (%) flagged on any metric (default 5 for "
+                 "captures, 10 for bench JSON)");
   args.addOption("align",
-                 "phase matching: id (default) | similarity "
+                 "capture phase matching: id (default) | similarity "
                  "(renumbering-tolerant, by label and weight)");
-  args.addFlag("bench",
-               "diff two BENCH_*.json files (iop-bench/1) instead of run "
-               "captures");
   tools::addLogOption(args);
   try {
     args.parse(argc, argv);
     if (args.helpRequested() || args.positional().size() != 2) {
       std::printf("%s",
                   args.usage("iop-diff <before> <after>",
-                             "Diff two run captures (or, with --bench, two "
-                             "bench JSON files); non-zero exit when the "
-                             "second run regressed.")
+                             "Diff two run captures or two bench JSON "
+                             "files; non-zero exit when the second run "
+                             "regressed.")
                       .c_str());
       return args.helpRequested() ? 0 : 2;
     }
     obs::Logger log(tools::toolLogLevel(args));
-    if (args.flag("bench")) return runBenchDiff(args, log);
-
-    const auto before = obs::RunCapture::load(args.positional()[0]);
-    const auto after = obs::RunCapture::load(args.positional()[1]);
-    if (before.app != after.app || before.np != after.np) {
-      log.warn("diff", "identity_mismatch",
-               "\"before\":\"" + obs::TraceRecorder::jsonEscape(
-                                     before.app + "/" +
-                                     std::to_string(before.np)) +
-                   "\",\"after\":\"" +
-                   obs::TraceRecorder::jsonEscape(
-                       after.app + "/" + std::to_string(after.np)) +
-                   "\"");
+    const std::string bytesA = readFile(args.positional()[0]);
+    const std::string bytesB = readFile(args.positional()[1]);
+    const bool captures = isCapture(bytesA);
+    if (captures != isCapture(bytesB)) {
+      throw std::invalid_argument(
+          "cannot compare a run capture with a bench JSON document");
     }
     obs::DiffOptions options;
-    options.thresholdPct = args.getDouble("threshold-pct", 5.0);
-    options.histThreshold = args.getDouble("hist-threshold", 0.25);
-    options.minSeconds = args.getDouble("min-seconds", 1e-9);
+    options.thresholdPct = args.getDouble("threshold-pct", captures ? 5 : 10);
     options.align = obs::parseAlignMode(args.getOr("align", "id"));
-    const auto result = obs::diffCaptures(before, after, options);
-    std::printf("%s", result.render(before, after).c_str());
+    obs::DiffResult result;
+    if (captures) {
+      const auto before = obs::RunCapture::parse(bytesA);
+      const auto after = obs::RunCapture::parse(bytesB);
+      if (before.app != after.app || before.np != after.np) {
+        log.warn("diff", "identity_mismatch",
+                 "\"before\":\"" + obs::TraceRecorder::jsonEscape(
+                                       before.app + "/" +
+                                       std::to_string(before.np)) +
+                     "\",\"after\":\"" +
+                     obs::TraceRecorder::jsonEscape(
+                         after.app + "/" + std::to_string(after.np)) +
+                     "\"");
+      }
+      result = obs::diffCaptures(before, after, options);
+    } else {
+      result = obs::diffBench(obs::parseBenchJson(bytesA),
+                              obs::parseBenchJson(bytesB), options);
+    }
+    std::printf("%s", result.render().c_str());
     log.info("diff", "complete",
-             "\"findings\":" + std::to_string(result.findings.size()) +
+             "\"findings\":" + std::to_string(result.findings()) +
                  ",\"regressions\":" +
                  std::to_string(result.regressions()));
     return result.regressions() == 0 ? 0 : 1;

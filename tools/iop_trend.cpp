@@ -13,7 +13,9 @@
 // `check` is the CI gate: it exits 0 when no series regressed and 1 when
 // any did, printing one line per regression naming the app, config, and
 // metric (docs/OBSERVABILITY.md describes the median/MAD change-point
-// rule).  Exit code 2 means usage or archive errors.
+// rule; iop-diff is its one-prior-point case).  Exit code 2 means usage
+// or archive errors, including option values that would switch the
+// rule off.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -52,13 +54,9 @@ obs::TrendOptions trendOptions(const util::Args& args) {
   obs::TrendOptions options;
   options.madThreshold = args.getDouble("mad-threshold", 4.0);
   options.relFloorPct = args.getDouble("rel-floor-pct", 1.0);
-  options.minHistory =
-      static_cast<std::size_t>(args.getInt("min-history", 3));
+  options.minHistory = args.getInt("min-history", 3);
   options.metricFilter = args.getOr("metric", "");
-  if (options.madThreshold <= 0) {
-    throw std::invalid_argument("--mad-threshold must be > 0");
-  }
-  return options;
+  return options;  // validated where the rule reads it
 }
 
 int cmdArchive(const util::Args& args, const std::string& action) {

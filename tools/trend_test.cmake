@@ -3,7 +3,8 @@
 #     and iop-diff sees the two encodings as identical;
 #   * an archive of five clean runs passes `iop-trend check` (exit 0);
 #   * adding a run with a >= 20% makespan regression makes `check` exit
-#     nonzero and name the app, config and metric.
+#     nonzero and name the app, config and metric;
+#   * option values that would switch the rule off are usage errors.
 # Inputs: -DSTATS=... -DDIFF=... -DTREND=... -DWORKDIR=...
 function(run_step)
   execute_process(COMMAND ${ARGV}
@@ -71,6 +72,20 @@ foreach(needle "REGRESSION" "btio" "Configuration A" "makespan")
   string(FIND "${out}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "trend check output missing '${needle}':\n${out}")
+  endif()
+endforeach()
+
+# --- options that would switch the rule off exit 2, naming the option --
+foreach(bad "--mad-threshold;nan" "--rel-floor-pct;-1" "--min-history;-1")
+  execute_process(COMMAND ${TREND} check --archive trends ${bad}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(GET bad 0 option)
+  string(FIND "${err}" "${option}" found)
+  if(NOT rc EQUAL 2 OR found EQUAL -1)
+    message(FATAL_ERROR "iop-trend check ${bad} exited ${rc}, expected 2 "
+                        "naming ${option}:\n${out}\n${err}")
   endif()
 endforeach()
 
