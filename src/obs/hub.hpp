@@ -28,9 +28,6 @@ struct Hub {
   EdgeRecorder* edges = nullptr;
   Logger* log = nullptr;
 
-  bool wantsTrace() const noexcept { return trace != nullptr; }
-  bool wantsMetrics() const noexcept { return metrics != nullptr; }
-  bool wantsEdges() const noexcept { return edges != nullptr; }
   bool wantsLog(LogLevel lvl) const noexcept {
     return log != nullptr && log->enabled(lvl);
   }

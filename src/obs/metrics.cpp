@@ -18,6 +18,17 @@ std::string num(double v) {
   return buf;
 }
 
+/// Prometheus metric name: `sweep.cell_seconds` -> `iop_sweep_cell_seconds`.
+std::string promName(const std::string& name) {
+  std::string out = "iop_";
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    out += ok ? c : '_';
+  }
+  return out;
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -43,22 +54,6 @@ void Histogram::observe(double value) noexcept {
   sum_ += value;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument(
-        "cannot merge histograms with different bounds");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.count_ > 0) {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
 }
 
 void MetricsRegistry::checkFree(const std::string& name,
@@ -105,18 +100,6 @@ const Histogram* MetricsRegistry::findHistogram(
     const std::string& name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counter(name).merge(c);
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    gauge(name).merge(g);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histogram(name, h.bounds()).merge(h);
-  }
 }
 
 std::string MetricsRegistry::renderCsv() const {
@@ -174,6 +157,35 @@ std::string MetricsRegistry::renderSummary() const {
           << " max=" << num(h.max());
     }
     out << "\n";
+  }
+  return out.str();
+}
+
+std::string MetricsRegistry::renderProm() const {
+  std::ostringstream out;
+  for (const auto& [name, c] : counters_) {
+    const std::string prom = promName(name) + "_total";
+    out << "# TYPE " << prom << " counter\n";
+    out << prom << " " << num(c.value()) << "\n";
+  }
+  for (const auto& [name, g] : gauges_) {
+    const std::string prom = promName(name);
+    out << "# TYPE " << prom << " gauge\n";
+    out << prom << " " << num(g.value()) << "\n";
+  }
+  for (const auto& [name, h] : histograms_) {
+    const std::string prom = promName(name);
+    out << "# TYPE " << prom << " histogram\n";
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+      cumulative += h.bucketCounts()[i];
+      out << prom << "_bucket{le=\"" << num(h.bounds()[i]) << "\"} "
+          << cumulative << "\n";
+    }
+    cumulative += h.bucketCounts().back();
+    out << prom << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
+    out << prom << "_sum " << num(h.sum()) << "\n";
+    out << prom << "_count " << h.count() << "\n";
   }
   return out.str();
 }

@@ -29,12 +29,6 @@ class Counter {
   double value() const noexcept { return value_; }
   std::uint64_t events() const noexcept { return events_; }
 
-  /// Fold another counter in: sums both the value and the event count.
-  void merge(const Counter& other) noexcept {
-    value_ += other.value_;
-    events_ += other.events_;
-  }
-
  private:
   double value_ = 0;
   std::uint64_t events_ = 0;
@@ -47,22 +41,13 @@ class Gauge {
     if (value > max_) max_ = value;
     if (value < min_) min_ = value;
   }
+  /// Move the gauge by `delta` (an up/down count such as busy workers).
+  void add(double delta) noexcept { set(value_ + delta); }
   double value() const noexcept { return value_; }
   double max() const noexcept { return max_; }
   double min() const noexcept { return min_; }
   /// True once set() has been called at least once.
   bool touched() const noexcept { return max_ >= min_; }
-
-  /// Fold another gauge in: the merged-in value wins if the other gauge
-  /// was ever set (merge order = observation order), and the min/max
-  /// envelope covers both histories.  Merging an untouched gauge is a
-  /// no-op.
-  void merge(const Gauge& other) noexcept {
-    if (!other.touched()) return;
-    value_ = other.value_;
-    if (other.max_ > max_) max_ = other.max_;
-    if (other.min_ < min_) min_ = other.min_;
-  }
 
  private:
   double value_ = 0;
@@ -92,11 +77,6 @@ class Histogram {
   }
   /// Index of the bucket a value would land in.
   std::size_t bucketIndex(double value) const noexcept;
-
-  /// Fold another histogram in bucket-by-bucket.  Both histograms must
-  /// have identical bounds (std::invalid_argument otherwise); merging an
-  /// empty histogram is a no-op and leaves min/max untouched.
-  void merge(const Histogram& other);
 
  private:
   std::vector<double> bounds_;
@@ -131,12 +111,12 @@ class MetricsRegistry {
   /// Human-readable summary table for tool output.
   std::string renderSummary() const;
 
-  /// Fold every instrument of `other` into this registry, creating
-  /// same-named instruments as needed.  Kind conflicts throw
-  /// std::logic_error, mismatched histogram bounds std::invalid_argument;
-  /// merging an empty registry is a no-op.  Useful for aggregating
-  /// per-shard registries into one report.
-  void merge(const MetricsRegistry& other);
+  /// Prometheus text exposition (version 0.0.4): counters, then gauges,
+  /// then histograms, each name-ordered.  Names are mangled
+  /// `sweep.cell_seconds` -> `iop_sweep_cell_seconds`, counters get the
+  /// conventional `_total` suffix and histogram buckets are cumulative
+  /// with an implicit `+Inf`.  Deterministic for a given state.
+  std::string renderProm() const;
 
  private:
   void checkFree(const std::string& name, const char* wanted) const;

@@ -30,7 +30,7 @@ enum class TrackKind : int {
   Device = 2,    ///< one track per storage device / cache
   Profiler = 3,  ///< wall-clock analysis-pipeline spans
   Sim = 4,       ///< engine-level counters (queue depth, dispatch rate)
-  Worker = 5,    ///< wall-clock sweep-executor workers (obs::ExecTrace)
+  Worker = 5,    ///< wall-clock sweep-executor workers (SweepTelemetry)
 };
 
 /// Event phases we emit (subset of the Trace Event Format).

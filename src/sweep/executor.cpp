@@ -209,14 +209,14 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
 
   store.initialize(campaign.spec.canonicalText(), options.force);
   if (tele != nullptr) {
-    store.setRuntimeMetrics(&tele->runtime(), "store");
+    store.setTelemetry(tele, "store");
   }
 
   std::optional<SharedStore> shared;
   if (!options.sharedStore.empty()) {
     shared.emplace(std::filesystem::path(options.sharedStore));
     if (tele != nullptr) {
-      shared->setRuntimeMetrics(&tele->runtime(), "shared_store");
+      shared->setTelemetry(tele, "shared_store");
     }
   }
 

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/runtime.hpp"
+#include "obs/journal.hpp"
 
 namespace iop::sweep {
 

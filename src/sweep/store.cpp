@@ -6,8 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/runtime.hpp"
 #include "sweep/hash.hpp"
+#include "sweep/telemetry.hpp"
 #include "util/text.hpp"
 
 namespace iop::sweep {
@@ -348,11 +348,8 @@ std::optional<CellResult> CampaignStore::tryLoadCell(
     const std::string& key, std::string* whyBad) const {
   auto loaded =
       tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
-  if (runtime_ != nullptr) {
-    runtime_
-        ->counter(metricsPrefix_ +
-                  (loaded ? ".cell_loads" : ".quarantines"))
-        .add();
+  if (telemetry_ != nullptr) {
+    telemetry_->storeLoad(metricsPrefix_, loaded.has_value());
   }
   return loaded;
 }
@@ -360,9 +357,8 @@ std::optional<CellResult> CampaignStore::tryLoadCell(
 void CampaignStore::saveCell(const CellResult& cell) const {
   const std::string text = cell.render();
   writeFileAtomically(cellPath(cell.key), text);
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".cell_commits").add();
-    runtime_->counter(metricsPrefix_ + ".cell_bytes").add(text.size());
+  if (telemetry_ != nullptr) {
+    telemetry_->storeCommit(metricsPrefix_, text.size());
   }
 }
 
@@ -371,14 +367,12 @@ void CampaignStore::saveCapture(const std::string& key,
   std::ostringstream out;
   capture.write(out);
   writeFileAtomically(capturePath(key), out.str());
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".capture_commits").add();
-  }
+  if (telemetry_ != nullptr) telemetry_->storeCaptureCommit(metricsPrefix_);
 }
 
-void CampaignStore::setRuntimeMetrics(obs::RuntimeMetrics* metrics,
-                                      std::string prefix) {
-  runtime_ = metrics;
+void CampaignStore::setTelemetry(SweepTelemetry* telemetry,
+                                 std::string prefix) {
+  telemetry_ = telemetry;
   metricsPrefix_ = std::move(prefix);
 }
 
@@ -445,11 +439,8 @@ std::optional<CellResult> SharedStore::tryLoadCell(
     const std::string& key, std::string* whyBad) const {
   auto loaded =
       tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
-  if (runtime_ != nullptr) {
-    runtime_
-        ->counter(metricsPrefix_ +
-                  (loaded ? ".cell_loads" : ".quarantines"))
-        .add();
+  if (telemetry_ != nullptr) {
+    telemetry_->storeLoad(metricsPrefix_, loaded.has_value());
   }
   return loaded;
 }
@@ -458,15 +449,14 @@ void SharedStore::saveCell(const CellResult& cell) const {
   std::filesystem::create_directories(root_ / "cells");
   const std::string text = cell.render();
   writeFileAtomically(cellPath(cell.key), text);
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".cell_commits").add();
-    runtime_->counter(metricsPrefix_ + ".cell_bytes").add(text.size());
+  if (telemetry_ != nullptr) {
+    telemetry_->storeCommit(metricsPrefix_, text.size());
   }
 }
 
-void SharedStore::setRuntimeMetrics(obs::RuntimeMetrics* metrics,
-                                    std::string prefix) {
-  runtime_ = metrics;
+void SharedStore::setTelemetry(SweepTelemetry* telemetry,
+                               std::string prefix) {
+  telemetry_ = telemetry;
   metricsPrefix_ = std::move(prefix);
 }
 

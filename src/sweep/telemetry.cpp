@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "util/vfs.hpp"
 
 namespace iop::sweep {
 
@@ -165,22 +166,46 @@ void ProgressMeter::finish() {
 
 SweepTelemetry::SweepTelemetry(const TelemetryConfig& config)
     : progress_(config.progress),
+      telemetryOut_(config.telemetryOut),
       execTraceOut_(config.execTraceOut),
+      intervalMs_(config.telemetryIntervalMs),
       epoch_(std::chrono::steady_clock::now()) {
+  if (intervalMs_ < 10) {
+    throw std::invalid_argument(
+        "telemetry interval must be >= 10 ms, got " +
+        std::to_string(intervalMs_));
+  }
   if (!config.journalPath.empty()) {
     journal_ = std::make_unique<obs::RunJournal>(config.journalPath);
   }
-  if (!config.execTraceOut.empty()) {
-    trace_ = std::make_unique<obs::ExecTrace>();
+  if (!execTraceOut_.empty()) {
+    trace_ = std::make_unique<obs::TraceRecorder>();
   }
-  if (!config.telemetryOut.empty()) {
-    snapshotter_ = std::make_unique<obs::TelemetrySnapshotter>(
-        runtime_, config.telemetryOut,
-        std::max(config.telemetryIntervalMs, 10));
+  if (!telemetryOut_.empty()) {
+    const std::filesystem::path out(telemetryOut_);
+    if (out.has_parent_path()) {
+      std::filesystem::create_directories(out.parent_path());
+    }
+    writeSnapshot();  // the file exists from t=0, not only after one tick
+    snapshotThread_ = std::thread([this] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (!wake_.wait_for(lock, std::chrono::milliseconds(intervalMs_),
+                             [this] { return stopping_; })) {
+        lock.unlock();
+        writeSnapshot();
+        lock.lock();
+      }
+    });
   }
 }
 
-SweepTelemetry::~SweepTelemetry() { finish(); }
+SweepTelemetry::~SweepTelemetry() {
+  try {
+    finish();
+  } catch (...) {
+    // Destructor must not throw; the final flush is best-effort here.
+  }
+}
 
 double SweepTelemetry::now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -188,8 +213,41 @@ double SweepTelemetry::now() const {
       .count();
 }
 
+std::optional<double> SweepTelemetry::counterValue(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> guard(mutex_);
+  const auto* counter = metrics_.findCounter(name);
+  if (counter == nullptr) return std::nullopt;
+  return counter->value();
+}
+
+std::string SweepTelemetry::renderProm() const {
+  std::lock_guard<std::mutex> guard(mutex_);
+  return metrics_.renderProm();
+}
+
+void SweepTelemetry::writeSnapshot() {
+  // Scratch durability: snapshots are observational, rewritten on a timer
+  // from a background thread, and must not perturb the deterministic
+  // barrier numbering the crash injector counts.
+  util::vfs::replaceFile(telemetryOut_, renderProm(),
+                         util::vfs::Durability::Scratch);
+}
+
+int SweepTelemetry::workerTrack(std::size_t worker) {
+  return trace_->track(obs::TrackKind::Worker,
+                       "worker " + std::to_string(worker));
+}
+
+int SweepTelemetry::controlTrack() {
+  return trace_->track(obs::TrackKind::Worker, "executor");
+}
+
 void SweepTelemetry::modelCacheHit(const std::string& model) {
-  runtime_.counter("sweep.model_cache_hits").add();
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.model_cache_hits").add();
+  }
   if (journal_) {
     journal_->event("model_cache_hit", "\"model\":\"" + esc(model) + "\"");
   }
@@ -198,9 +256,12 @@ void SweepTelemetry::modelCacheHit(const std::string& model) {
 void SweepTelemetry::modelCharacterized(const std::string& model,
                                         std::size_t phases,
                                         double seconds) {
-  runtime_.counter("sweep.characterized").add();
-  runtime_.histogram("sweep.resolve_seconds", obs::latencyBucketsSeconds())
-      .observe(seconds);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.characterized").add();
+    metrics_.histogram("sweep.resolve_seconds", obs::latencyBucketsSeconds())
+        .observe(seconds);
+  }
   if (journal_) {
     journal_->event("model_characterized",
                     "\"model\":\"" + esc(model) +
@@ -212,9 +273,10 @@ void SweepTelemetry::modelCharacterized(const std::string& model,
 void SweepTelemetry::characterizeSpan(std::size_t worker,
                                       const std::string& model,
                                       double beginSec, double endSec) {
+  std::lock_guard<std::mutex> guard(mutex_);
   if (!trace_) return;
-  trace_->span(trace_->workerTrack(worker), "characterize " + model,
-               "resolve", beginSec, endSec);
+  trace_->span(obs::TrackKind::Worker, workerTrack(worker),
+               "characterize " + model, "resolve", beginSec, endSec);
 }
 
 void SweepTelemetry::campaignStart(const std::string& name,
@@ -231,8 +293,11 @@ void SweepTelemetry::campaignStart(const std::string& name,
 void SweepTelemetry::execStart(std::size_t cells, std::size_t cached,
                                std::size_t shared, std::size_t pending,
                                std::size_t workers) {
-  runtime_.counter("sweep.cells").add(cells);
-  runtime_.counter("sweep.pending").add(pending);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.cells").add(static_cast<double>(cells));
+    metrics_.counter("sweep.pending").add(static_cast<double>(pending));
+  }
   progress_.begin(cells, cached, shared, pending, workers);
   if (journal_) {
     journal_->event("exec_start",
@@ -246,8 +311,11 @@ void SweepTelemetry::execStart(std::size_t cells, std::size_t cached,
 
 void SweepTelemetry::cacheHit(const std::string& cell,
                               const std::string& key, bool shared) {
-  runtime_.counter("sweep.cache_hits").add();
-  if (shared) runtime_.counter("sweep.shared_hits").add();
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.cache_hits").add();
+    if (shared) metrics_.counter("sweep.shared_hits").add();
+  }
   if (journal_) {
     journal_->event(shared ? "shared_hit" : "cache_hit",
                     "\"cell\":\"" + esc(cell) + "\",\"key\":\"" + esc(key) +
@@ -259,21 +327,28 @@ void SweepTelemetry::cellQuarantined(const std::string& cell,
                                      const std::string& key,
                                      const std::string& error,
                                      bool shared) {
-  runtime_.counter("sweep.quarantined").add();
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.quarantined").add();
+    if (trace_) {
+      trace_->instant(obs::TrackKind::Worker, controlTrack(),
+                      "quarantine " + cell, "store", now(),
+                      "\"key\":\"" + esc(key) + "\"");
+    }
+  }
   if (journal_) {
     journal_->event("cell_quarantined",
                     "\"cell\":\"" + esc(cell) + "\",\"key\":\"" + esc(key) +
                         "\",\"error\":\"" + esc(error) + "\",\"shared\":" +
                         (shared ? "true" : "false"));
   }
-  if (trace_) {
-    trace_->instant(trace_->controlTrack(), "quarantine " + cell, "store",
-                    now(), "\"key\":\"" + esc(key) + "\"");
-  }
 }
 
 void SweepTelemetry::workerSpawn(std::size_t worker) {
-  runtime_.counter("sweep.worker_spawns").add();
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.worker_spawns").add();
+  }
   if (journal_) {
     journal_->event("worker_spawn",
                     "\"worker\":" + std::to_string(worker));
@@ -288,7 +363,10 @@ void SweepTelemetry::workerIdle(std::size_t worker) {
 
 void SweepTelemetry::cellClaim(std::size_t worker, const std::string& cell,
                                const std::string& key) {
-  runtime_.gauge("sweep.workers_busy").add(1);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.gauge("sweep.workers_busy").add(1);
+  }
   progress_.claim();
   if (journal_) {
     journal_->event("cell_claim",
@@ -303,12 +381,27 @@ void SweepTelemetry::cellCommit(std::size_t worker, const std::string& cell,
                                 double evalSec, double commitSec,
                                 double timeIo, std::size_t iorRuns,
                                 bool faulted) {
-  runtime_.counter("sweep.computed").add();
-  runtime_.histogram("sweep.replay_seconds", obs::latencyBucketsSeconds())
-      .observe(evalSec - claimSec);
-  runtime_.histogram("sweep.commit_seconds", obs::latencyBucketsSeconds())
-      .observe(commitSec - evalSec);
-  runtime_.gauge("sweep.workers_busy").add(-1);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.computed").add();
+    metrics_.histogram("sweep.replay_seconds", obs::latencyBucketsSeconds())
+        .observe(evalSec - claimSec);
+    metrics_.histogram("sweep.commit_seconds", obs::latencyBucketsSeconds())
+        .observe(commitSec - evalSec);
+    metrics_.gauge("sweep.workers_busy").add(-1);
+    if (trace_) {
+      const int tid = workerTrack(worker);
+      const std::string args = "\"key\":\"" + esc(key) + "\"";
+      trace_->span(obs::TrackKind::Worker, tid, "replay " + cell, "replay",
+                   claimSec, evalSec, args);
+      trace_->span(obs::TrackKind::Worker, tid, "commit " + cell, "commit",
+                   evalSec, commitSec, args);
+      if (faulted) {
+        trace_->instant(obs::TrackKind::Worker, tid, "fault " + cell,
+                        "fault", claimSec, args);
+      }
+    }
+  }
   progress_.cellDone(commitSec - claimSec, /*failed=*/false);
   progress_.release();
   if (journal_) {
@@ -323,24 +416,24 @@ void SweepTelemetry::cellCommit(std::size_t worker, const std::string& cell,
             ",\"faulted\":" + (faulted ? "true" : "false"));
     maybeNoteJournalDisabled();
   }
-  if (trace_) {
-    const int tid = trace_->workerTrack(worker);
-    trace_->span(tid, "replay " + cell, "replay", claimSec, evalSec,
-                 "\"key\":\"" + esc(key) + "\"");
-    trace_->span(tid, "commit " + cell, "commit", evalSec, commitSec,
-                 "\"key\":\"" + esc(key) + "\"");
-    if (faulted) {
-      trace_->instant(tid, "fault " + cell, "fault", claimSec,
-                      "\"key\":\"" + esc(key) + "\"");
-    }
-  }
 }
 
 void SweepTelemetry::cellFailed(std::size_t worker, const std::string& cell,
                                 const std::string& key, double claimSec,
                                 double failSec, const std::string& error) {
-  runtime_.counter("sweep.failures").add();
-  runtime_.gauge("sweep.workers_busy").add(-1);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.failures").add();
+    metrics_.gauge("sweep.workers_busy").add(-1);
+    if (trace_) {
+      const int tid = workerTrack(worker);
+      const std::string args = "\"key\":\"" + esc(key) + "\"";
+      trace_->span(obs::TrackKind::Worker, tid, "replay " + cell, "replay",
+                   claimSec, failSec, args);
+      trace_->instant(obs::TrackKind::Worker, tid, "failed " + cell,
+                      "fault", failSec, args);
+    }
+  }
   progress_.cellDone(failSec - claimSec, /*failed=*/true);
   progress_.release();
   if (journal_) {
@@ -352,19 +445,20 @@ void SweepTelemetry::cellFailed(std::size_t worker, const std::string& cell,
                         esc(error) + "\"");
     maybeNoteJournalDisabled();
   }
-  if (trace_) {
-    const int tid = trace_->workerTrack(worker);
-    trace_->span(tid, "replay " + cell, "replay", claimSec, failSec,
-                 "\"key\":\"" + esc(key) + "\"");
-    trace_->instant(tid, "failed " + cell, "fault", failSec,
-                    "\"key\":\"" + esc(key) + "\"");
-  }
 }
 
 void SweepTelemetry::cellSlow(std::size_t worker, const std::string& cell,
                               const std::string& key, double deadlineSec) {
-  runtime_.counter("sweep.cells_slow").add();
-  runtime_.gauge("sweep.slow_cells").add(1);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.cells_slow").add();
+    metrics_.gauge("sweep.slow_cells").add(1);
+    if (trace_) {
+      trace_->instant(obs::TrackKind::Worker, workerTrack(worker),
+                      "slow " + cell, "watchdog", now(),
+                      "\"key\":\"" + esc(key) + "\"");
+    }
+  }
   if (journal_) {
     journal_->event("cell_slow",
                     "\"worker\":" + std::to_string(worker) +
@@ -373,21 +467,26 @@ void SweepTelemetry::cellSlow(std::size_t worker, const std::string& cell,
                         "\",\"deadline_s\":" + fmtSec(deadlineSec));
     maybeNoteJournalDisabled();
   }
-  if (trace_) {
-    trace_->instant(trace_->workerTrack(worker), "slow " + cell, "watchdog",
-                    now(), "\"key\":\"" + esc(key) + "\"");
-  }
 }
 
 void SweepTelemetry::cellSlowResolved() {
-  runtime_.gauge("sweep.slow_cells").add(-1);
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.gauge("sweep.slow_cells").add(-1);
 }
 
 void SweepTelemetry::cellStuck(std::size_t worker, const std::string& cell,
                                const std::string& key, int attempt,
                                double deadlineSec, bool retrying) {
-  runtime_.counter("sweep.cells_stuck").add();
-  runtime_.gauge("sweep.workers_busy").add(-1);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.cells_stuck").add();
+    metrics_.gauge("sweep.workers_busy").add(-1);
+    if (trace_) {
+      trace_->instant(obs::TrackKind::Worker, workerTrack(worker),
+                      "stuck " + cell, "watchdog", now(),
+                      "\"key\":\"" + esc(key) + "\"");
+    }
+  }
   progress_.release();
   if (!retrying) {
     progress_.cellDone(deadlineSec, /*failed=*/true);
@@ -402,39 +501,43 @@ void SweepTelemetry::cellStuck(std::size_t worker, const std::string& cell,
                         ",\"retry\":" + (retrying ? "true" : "false"));
     maybeNoteJournalDisabled();
   }
-  if (trace_) {
-    const int tid = trace_->workerTrack(worker);
-    trace_->instant(tid, "stuck " + cell, "watchdog", now(),
-                    "\"key\":\"" + esc(key) + "\"");
-  }
 }
 
 void SweepTelemetry::arenaTrimmed(std::size_t worker,
                                   std::size_t releasedBytes,
                                   std::size_t slabBytes) {
-  runtime_.counter("sim.arena_trim_bytes").add(releasedBytes);
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.counter("sim.arena_trim_bytes")
+      .add(static_cast<double>(releasedBytes));
   // Last writer wins across workers: the gauge tracks one thread-local
   // arena's footprint, which is representative — workers run the same
   // kind of cells — without needing per-worker metric names.
-  runtime_.gauge("sim.arena_bytes").set(static_cast<double>(slabBytes));
+  metrics_.gauge("sim.arena_bytes").set(static_cast<double>(slabBytes));
   if (trace_ && releasedBytes > 0) {
-    trace_->counterSample(trace_->workerTrack(worker), "arena bytes",
-                          now(), static_cast<double>(slabBytes));
+    trace_->counterSample(obs::TrackKind::Worker, workerTrack(worker),
+                          "arena bytes", now(),
+                          static_cast<double>(slabBytes));
   }
 }
 
 void SweepTelemetry::shutdownNoticed() {
   if (shutdownSeen_.exchange(true, std::memory_order_relaxed)) return;
-  runtime_.counter("sweep.shutdowns").add();
-  if (journal_) journal_->event("shutdown_requested");
-  if (trace_) {
-    trace_->instant(trace_->controlTrack(), "shutdown requested",
-                    "signal", now());
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.shutdowns").add();
+    if (trace_) {
+      trace_->instant(obs::TrackKind::Worker, controlTrack(),
+                      "shutdown requested", "signal", now());
+    }
   }
+  if (journal_) journal_->event("shutdown_requested");
 }
 
 void SweepTelemetry::cellsSkipped(std::size_t count) {
-  runtime_.counter("sweep.skipped").add(count);
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    metrics_.counter("sweep.skipped").add(static_cast<double>(count));
+  }
   if (journal_) {
     journal_->event("cells_skipped", "\"count\":" + std::to_string(count));
   }
@@ -461,20 +564,47 @@ void SweepTelemetry::runComplete(std::size_t cells, std::size_t cacheHits,
   }
 }
 
+void SweepTelemetry::storeLoad(const std::string& prefix, bool loaded) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.counter(prefix + (loaded ? ".cell_loads" : ".quarantines")).add();
+}
+
+void SweepTelemetry::storeCommit(const std::string& prefix,
+                                 std::size_t bytes) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.counter(prefix + ".cell_commits").add();
+  metrics_.counter(prefix + ".cell_bytes").add(static_cast<double>(bytes));
+}
+
+void SweepTelemetry::storeCaptureCommit(const std::string& prefix) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.counter(prefix + ".capture_commits").add();
+}
+
 void SweepTelemetry::maybeNoteJournalDisabled() {
   if (!journal_ || !journal_->disabled()) return;
   if (journalDisabledNoted_.exchange(true, std::memory_order_relaxed)) {
     return;
   }
-  runtime_.counter("sweep.journal_disabled").add();
+  std::lock_guard<std::mutex> guard(mutex_);
+  metrics_.counter("sweep.journal_disabled").add();
 }
 
 void SweepTelemetry::finish() {
   if (finished_.exchange(true, std::memory_order_acq_rel)) return;
   maybeNoteJournalDisabled();
-  if (snapshotter_) snapshotter_->stop();
+  if (snapshotThread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    snapshotThread_.join();
+    writeSnapshot();  // final state always lands on disk
+  }
   progress_.finish();
-  if (trace_ && !execTraceOut_.empty()) trace_->saveJson(execTraceOut_);
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (trace_) trace_->saveJson(execTraceOut_);
 }
 
 }  // namespace iop::sweep

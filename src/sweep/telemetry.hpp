@@ -1,17 +1,24 @@
 // Runtime telemetry for campaign execution: the glue between the sweep
-// executor and the obs wall-clock instruments (obs/runtime.hpp).
+// executor and the obs wall-clock sinks.
 //
 // One SweepTelemetry object per `iop-sweep run` bundles the three pillars:
 //
-//   * a RunJournal flight recorder under <store>/journal/ — every
-//     lifecycle event (campaign start, cache hits, cell claims/commits,
-//     worker spawns, shutdown) as one flushed JSONL line, so a crashed or
-//     SIGKILLed run leaves a reconstructable timeline (see postmortem.hpp);
-//   * a RuntimeMetrics registry (+ optional TelemetrySnapshotter writing
-//     Prometheus text exposition to --telemetry-out on a timer);
-//   * an optional ExecTrace emitting the execution itself — one
-//     Chrome/Perfetto track per worker, spans for characterize / replay /
-//     commit — to --exec-trace-out.
+//   * a RunJournal flight recorder (obs/journal.hpp) under
+//     <store>/journal/ — every lifecycle event (campaign start, cache
+//     hits, cell claims/commits, worker spawns, shutdown) as one flushed
+//     JSONL line, so a crashed or SIGKILLed run leaves a reconstructable
+//     timeline (see postmortem.hpp);
+//   * an obs::MetricsRegistry of wall-clock counters, gauges and latency
+//     histograms, snapshotted as Prometheus text exposition to
+//     --telemetry-out by a timer thread;
+//   * an optional obs::TraceRecorder emitting the execution itself — one
+//     TrackKind::Worker track per worker, spans for characterize / replay
+//     / commit — to --exec-trace-out.
+//
+// The registry and the trace sit behind one mutex: every hook takes it
+// once and updates both, and the snapshot thread renders under it.  The
+// journal and the progress meter keep their own locks (a journal append
+// is an fsync, which the snapshot thread should not wait behind).
 //
 // Everything here is observation-only: no instrument feeds back into any
 // scheduling or result-affecting decision, so a store written with
@@ -22,21 +29,26 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
+#include <thread>
 
-#include "obs/runtime.hpp"
+#include "obs/journal.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace iop::sweep {
 
 struct TelemetryConfig {
   std::string journalPath;    ///< JSONL flight recorder ("" = off)
   std::string telemetryOut;   ///< Prometheus snapshot file ("" = off)
-  int telemetryIntervalMs = 500;
+  int telemetryIntervalMs = 500;  ///< snapshot period; must be >= 10
   bool progress = false;      ///< live status line on stderr
   std::string execTraceOut;   ///< Chrome trace of the execution ("" = off)
 };
@@ -88,20 +100,26 @@ class ProgressMeter {
 };
 
 /// The per-run telemetry bundle.  Hook methods fan each event out to the
-/// journal, the metrics registry, the exec trace and the progress meter —
+/// metrics registry, the exec trace, the journal and the progress meter —
 /// whichever of those the config enabled.
 class SweepTelemetry {
  public:
+  /// Throws std::invalid_argument for a telemetryIntervalMs below 10.
   explicit SweepTelemetry(const TelemetryConfig& config);
   ~SweepTelemetry();
 
   SweepTelemetry(const SweepTelemetry&) = delete;
   SweepTelemetry& operator=(const SweepTelemetry&) = delete;
 
-  obs::RuntimeMetrics& runtime() noexcept { return runtime_; }
   obs::RunJournal* journal() noexcept { return journal_.get(); }
-  obs::ExecTrace* trace() noexcept { return trace_.get(); }
   ProgressMeter& progress() noexcept { return progress_; }
+
+  /// A counter's value, read under the lock; std::nullopt until some
+  /// hook first bumped it.
+  std::optional<double> counterValue(const std::string& name) const;
+  /// The registry as Prometheus text exposition, rendered under the lock
+  /// (what the snapshot thread writes to --telemetry-out).
+  std::string renderProm() const;
 
   /// Wall-clock seconds since construction (the exec-trace timebase).
   double now() const;
@@ -158,23 +176,38 @@ class SweepTelemetry {
                    std::size_t quarantined, bool interrupted,
                    double wallSeconds);
 
+  // ---- store operations (store.cpp), counted under `<prefix>.` ----
+  void storeLoad(const std::string& prefix, bool loaded);
+  void storeCommit(const std::string& prefix, std::size_t bytes);
+  void storeCaptureCommit(const std::string& prefix);
+
   /// Flush everything: stop the snapshot thread (writing one final
   /// exposition), finish the progress line, save the exec trace.
   /// Idempotent; also runs on destruction.
   void finish();
 
  private:
+  /// Track ids on the exec trace; call with mutex_ held and trace_ set.
+  int workerTrack(std::size_t worker);
+  int controlTrack();
+  /// Render under the lock, then replace --telemetry-out outside it.
+  void writeSnapshot();
   /// Bumps `sweep.journal_disabled` (once) after a journal write failure
   /// silenced the flight recorder, so the loss shows up in the metrics
   /// even though the journal itself can no longer record it.
   void maybeNoteJournalDisabled();
 
-  obs::RuntimeMetrics runtime_;
+  mutable std::mutex mutex_;  ///< guards metrics_, trace_ and stopping_
+  obs::MetricsRegistry metrics_;
+  std::unique_ptr<obs::TraceRecorder> trace_;  ///< --exec-trace-out only
   std::unique_ptr<obs::RunJournal> journal_;
-  std::unique_ptr<obs::ExecTrace> trace_;
-  std::unique_ptr<obs::TelemetrySnapshotter> snapshotter_;
   ProgressMeter progress_;
+  std::string telemetryOut_;
   std::string execTraceOut_;
+  int intervalMs_ = 500;
+  std::condition_variable wake_;  ///< stops the snapshot thread's wait
+  bool stopping_ = false;
+  std::thread snapshotThread_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> shutdownSeen_{false};
   std::atomic<bool> finished_{false};

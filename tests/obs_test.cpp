@@ -10,15 +10,17 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analysis/runner.hpp"
 #include "apps/btio.hpp"
 #include "configs/configs.hpp"
 #include "obs/hub.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/profiler.hpp"
-#include "obs/runtime.hpp"
 
 namespace iop {
 namespace {
@@ -202,102 +204,47 @@ TEST(ObsMetrics, RegistryInstrumentsAreStableAndKindChecked) {
   EXPECT_NE(reg.findCounter("a.count"), nullptr);
 }
 
-// --- instrument merging (per-shard registries folded into one) ----------
-
-TEST(ObsMetrics, HistogramMergeWithZeroObservations) {
-  obs::Histogram a({1.0, 2.0});
-  obs::Histogram empty({1.0, 2.0});
-  a.observe(0.5);
-  a.observe(10.0);
-  a.merge(empty);  // merging an empty histogram changes nothing
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.min(), 0.5);
-  EXPECT_DOUBLE_EQ(a.max(), 10.0);
-  obs::Histogram other({1.0, 2.0});
-  other.merge(empty);  // empty into empty stays empty
-  EXPECT_EQ(other.count(), 0u);
-  other.merge(a);  // an empty histogram absorbs a populated one wholesale
-  EXPECT_EQ(other.count(), 2u);
-  EXPECT_DOUBLE_EQ(other.sum(), 10.5);
-  EXPECT_DOUBLE_EQ(other.min(), 0.5);
-  EXPECT_DOUBLE_EQ(other.max(), 10.0);
-}
-
-TEST(ObsMetrics, HistogramMergeSingleBucketOverflow) {
-  // A single bound yields two buckets (le_1 + inf): overflow counts on
-  // both sides must fold into the shared +Inf bucket.
-  obs::Histogram a({1.0});
-  obs::Histogram b({1.0});
-  a.observe(0.5);
-  a.observe(5.0);
-  b.observe(7.0);
-  b.observe(9.0);
-  a.merge(b);
-  ASSERT_EQ(a.bucketCounts().size(), 2u);
-  EXPECT_EQ(a.bucketCounts()[0], 1u);
-  EXPECT_EQ(a.bucketCounts()[1], 3u);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_DOUBLE_EQ(a.max(), 9.0);
-  obs::Histogram mismatched({2.0});
-  EXPECT_THROW(a.merge(mismatched), std::invalid_argument);
-}
-
-TEST(ObsMetrics, GaugeMergeRespectsTouchedState) {
-  obs::Gauge a;
-  obs::Gauge b;
-  obs::Gauge untouched;
-  a.set(5.0);
-  b.set(2.0);
-  a.merge(untouched);  // an untouched gauge merges as a no-op
-  EXPECT_DOUBLE_EQ(a.value(), 5.0);
-  a.merge(b);  // the merged-in history is newer: its value wins
-  EXPECT_DOUBLE_EQ(a.value(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 5.0);  // envelope covers both histories
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-}
-
-TEST(ObsMetrics, RegistryMergeFoldsAndChecksKinds) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("x.count").add(2);
-  b.counter("x.count").add(3);
-  b.gauge("q.depth").set(7.0);
-  b.histogram("y.lat", {1.0}).observe(0.5);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.counter("x.count").value(), 5.0);
-  EXPECT_DOUBLE_EQ(a.gauge("q.depth").value(), 7.0);
-  EXPECT_EQ(a.histogram("y.lat", {1.0}).count(), 1u);
-
-  const std::string before = a.renderCsv();
-  const obs::MetricsRegistry empty;
-  a.merge(empty);  // empty-registry merge is a no-op
-  EXPECT_EQ(a.renderCsv(), before);
-
-  obs::MetricsRegistry conflict;
-  conflict.gauge("x.count").set(1.0);
-  EXPECT_THROW(a.merge(conflict), std::logic_error);
-}
-
-// --- wall-clock runtime instruments (obs/runtime.hpp) -------------------
+// --- Prometheus exposition (SweepTelemetry's --telemetry-out) ----------
 
 TEST(ObsRuntime, RegistryIsStableAndKindChecked) {
-  obs::RuntimeMetrics m;
+  // SweepTelemetry caches instrument references once and keeps updating
+  // them while later instruments are registered: addresses must survive
+  // inserts, and find*() must hand back the same instrument.
+  obs::MetricsRegistry m;
   auto& c = m.counter("a.count");
+  auto& g = m.gauge("b.level");
+  auto& h = m.histogram("c.seconds", {1.0});
   c.add(2);
+  for (int i = 0; i < 64; ++i) {
+    const std::string n = "pad" + std::to_string(i);
+    m.counter(n + ".count");
+    m.gauge(n + ".level");
+    m.histogram(n + ".seconds", {1.0});
+  }
   EXPECT_EQ(&m.counter("a.count"), &c);  // get-or-create memoizes
-  EXPECT_EQ(m.counter("a.count").value(), 2u);
+  EXPECT_EQ(&m.gauge("b.level"), &g);
+  EXPECT_EQ(&m.histogram("c.seconds", {5.0}), &h);
+  EXPECT_EQ(m.histogram("c.seconds", {5.0}).bounds(),
+            std::vector<double>{1.0});  // bounds of an existing one ignored
+  EXPECT_DOUBLE_EQ(m.counter("a.count").value(), 2.0);
   EXPECT_THROW(m.gauge("a.count"), std::logic_error);
   EXPECT_THROW(m.histogram("a.count", {1.0}), std::logic_error);
+  EXPECT_THROW(m.counter("b.level"), std::logic_error);
+  EXPECT_THROW(m.gauge("c.seconds"), std::logic_error);
   EXPECT_EQ(m.findCounter("missing"), nullptr);
   EXPECT_EQ(m.findCounter("a.count"), &c);
+  EXPECT_EQ(m.findGauge("b.level"), &g);
+  EXPECT_EQ(m.findHistogram("c.seconds"), &h);
 }
 
 TEST(ObsRuntime, RuntimeHistogramMatchesLeSemantics) {
-  obs::RuntimeHistogram h({1.0, 2.0});
+  // observe() lands where bucketIndex() says: on a bound, between
+  // bounds, and past the last bound.
+  obs::Histogram h({1.0, 2.0});
   h.observe(1.0);   // on-bound lands in that bucket
   h.observe(1.5);
   h.observe(99.0);  // overflow
-  const auto counts = h.bucketCounts();
+  const auto& counts = h.bucketCounts();
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 1u);
@@ -307,9 +254,16 @@ TEST(ObsRuntime, RuntimeHistogramMatchesLeSemantics) {
 }
 
 TEST(ObsRuntime, RenderPromFormatsAllInstrumentKinds) {
-  obs::RuntimeMetrics m;
+  obs::MetricsRegistry m;
   m.counter("sweep.cells").add(3);
+  m.counter("store.cell_bytes").add(10301);
+  m.counter("store.cell_bytes").add(123456789012.0);
+  m.counter("odd-name.x").add(1);
   m.gauge("sim.arena_bytes").set(64.0);
+  auto& busy = m.gauge("sweep.workers_busy");
+  busy.add(1);
+  busy.add(1);
+  busy.add(-1);
   auto& h = m.histogram("sweep.replay_seconds", {0.1, 1.0});
   h.observe(0.05);
   h.observe(0.5);
@@ -331,24 +285,29 @@ TEST(ObsRuntime, RenderPromFormatsAllInstrumentKinds) {
   EXPECT_NE(prom.find("iop_sweep_replay_seconds_count 3"), npos);
   // Deterministic for a given state.
   EXPECT_EQ(prom, m.renderProm());
+  // Byte for byte the exposition of the atomic-instrument registry this
+  // rendering replaced, fed the same values: counters are doubles now,
+  // and integer counts (12 digits here) still print as plain integers.
+  EXPECT_EQ(prom,
+            "# TYPE iop_odd_name_x_total counter\n"
+            "iop_odd_name_x_total 1\n"
+            "# TYPE iop_store_cell_bytes_total counter\n"
+            "iop_store_cell_bytes_total 123456799313\n"
+            "# TYPE iop_sweep_cells_total counter\n"
+            "iop_sweep_cells_total 3\n"
+            "# TYPE iop_sim_arena_bytes gauge\n"
+            "iop_sim_arena_bytes 64\n"
+            "# TYPE iop_sweep_workers_busy gauge\n"
+            "iop_sweep_workers_busy 1\n"
+            "# TYPE iop_sweep_replay_seconds histogram\n"
+            "iop_sweep_replay_seconds_bucket{le=\"0.1\"} 1\n"
+            "iop_sweep_replay_seconds_bucket{le=\"1\"} 2\n"
+            "iop_sweep_replay_seconds_bucket{le=\"+Inf\"} 3\n"
+            "iop_sweep_replay_seconds_sum 5.55\n"
+            "iop_sweep_replay_seconds_count 3\n");
 }
 
-TEST(ObsRuntime, SnapshotterWritesFinalSnapshotOnStop) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "iop_obs_snap_test";
-  std::filesystem::remove_all(dir);
-  obs::RuntimeMetrics m;
-  m.counter("a.count").add(1);
-  {
-    obs::TelemetrySnapshotter snap(m, dir / "m.prom", 50);
-    m.counter("a.count").add(1);
-  }  // destruction stops the thread and writes one final snapshot
-  std::ifstream in(dir / "m.prom");
-  std::ostringstream text;
-  text << in.rdbuf();
-  EXPECT_NE(text.str().find("iop_a_count_total 2"), std::string::npos);
-  std::filesystem::remove_all(dir);
-}
+// --- flight-recorder journal (obs/journal.hpp) ---------------------------
 
 TEST(ObsRuntime, JournalRoundTripsAndToleratesTornTail) {
   const auto dir =
@@ -381,6 +340,38 @@ TEST(ObsRuntime, JournalRoundTripsAndToleratesTornTail) {
   parsed = obs::loadJournal(path);
   EXPECT_EQ(parsed.events.size(), 3u);
   EXPECT_EQ(parsed.badLines, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ObsRuntime, JournalTimeNeverRunsBackwardsUnderConcurrentWriters) {
+  // `t` is stamped under the journal lock: with many workers journaling
+  // at once, file order and time order must agree, or a postmortem's
+  // last-event time (the last line's `t`) could understate the run.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "iop_obs_journal_order_test";
+  std::filesystem::remove_all(dir);
+  const auto path = dir / "run.jsonl";
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2000;
+  {
+    obs::RunJournal journal(path);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&journal, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          journal.event("tick", "\"worker\":" + std::to_string(t));
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+  }
+  const auto parsed = obs::loadJournal(path);
+  EXPECT_EQ(parsed.badLines, 0u);
+  ASSERT_EQ(parsed.events.size(), 1u + kThreads * kPerThread);
+  for (std::size_t i = 1; i < parsed.events.size(); ++i) {
+    ASSERT_LE(parsed.events[i - 1].t, parsed.events[i].t)
+        << "line " << i + 1 << " runs backwards";
+  }
   std::filesystem::remove_all(dir);
 }
 

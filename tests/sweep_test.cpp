@@ -7,12 +7,13 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/runtime.hpp"
+#include "obs/journal.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/hash.hpp"
@@ -787,39 +788,119 @@ TEST(SweepExecutor, CancelSkipsUntakenCellsAndResumeConverges) {
 
 // --- runtime telemetry --------------------------------------------------
 
+std::string readFileText(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+bool hasLine(const std::string& text, const std::string& line) {
+  return ("\n" + text).find("\n" + line + "\n") != std::string::npos;
+}
+
 TEST(RuntimeTelemetry, ConcurrentInstrumentUpdatesAreLossless) {
-  // The hot-path contract: any number of workers may hammer the same
-  // counter / gauge / histogram concurrently without losing updates.
-  // (The TSan CI flavor builds exactly this test binary.)
-  obs::RuntimeMetrics metrics;
-  auto& counter = metrics.counter("sweep.cells");
-  auto& gauge = metrics.gauge("sim.arena_bytes");
-  auto& hist =
-      metrics.histogram("sweep.replay_seconds", {0.001, 0.01, 0.1});
+  // The hot-path contract: every worker may claim and commit cells
+  // concurrently while the snapshot thread renders the registry every
+  // 10 ms, and no update is lost.  (The TSan CI flavor builds exactly
+  // this test binary.)
+  TempDir dir("tele_concurrent");
+  sweep::TelemetryConfig config;
+  config.telemetryOut = (dir.path() / "metrics.prom").string();
+  config.telemetryIntervalMs = 10;
+  config.execTraceOut = (dir.path() / "trace.json").string();
+  sweep::SweepTelemetry telemetry(config);
   constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.add(1);
-        gauge.add(1.0);
-        hist.observe(0.005 * ((t + i) % 3 + 1));
-        // Registration while others increment must also be safe.
-        metrics.counter("sweep.computed").add(1);
-      }
-    });
+  constexpr int kPerThread = 2000;
+  const auto drive = [&](bool commit) {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        const auto worker = static_cast<std::size_t>(t);
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::string cell = "c" + std::to_string(i);
+          if (!commit) {
+            telemetry.cellClaim(worker, cell, "k");
+            continue;
+          }
+          const double t0 = telemetry.now();
+          telemetry.cellCommit(worker, cell, "k", t0,
+                               t0 + 0.005 * ((t + i) % 3 + 1),
+                               t0 + 0.02, 1.0, 1, i % 7 == 0);
+        }
+      });
+    }
+    // Readers race the writers too, not only the snapshot thread.
+    for (int i = 0; i < 20; ++i) {
+      const std::string text = telemetry.renderProm();
+      EXPECT_TRUE(text.empty() || text.back() == '\n');
+    }
+    for (auto& th : pool) th.join();
+  };
+  const auto total = std::to_string(kThreads * kPerThread);
+  drive(/*commit=*/false);
+  EXPECT_TRUE(hasLine(telemetry.renderProm(),
+                      "iop_sweep_workers_busy " + total));
+  drive(/*commit=*/true);
+  telemetry.finish();
+
+  const std::string prom = readFileText(config.telemetryOut);
+  EXPECT_EQ(prom, telemetry.renderProm());  // the final snapshot landed
+  EXPECT_TRUE(hasLine(prom, "iop_sweep_computed_total " + total)) << prom;
+  EXPECT_TRUE(hasLine(prom, "iop_sweep_replay_seconds_count " + total));
+  EXPECT_TRUE(hasLine(prom, "iop_sweep_commit_seconds_count " + total));
+  EXPECT_TRUE(hasLine(prom, "iop_sweep_replay_seconds_bucket{le=\"+Inf\"} " +
+                                total));
+  EXPECT_TRUE(hasLine(prom, "iop_sweep_workers_busy 0"));
+  const auto computed = telemetry.counterValue("sweep.computed");
+  ASSERT_TRUE(computed.has_value());
+  EXPECT_EQ(*computed, kThreads * kPerThread);
+  EXPECT_TRUE(std::filesystem::exists(config.execTraceOut));
+}
+
+TEST(ObsRuntime, SnapshotterWritesFinalSnapshotOnStop) {
+  TempDir dir("tele_snapshot");
+  sweep::TelemetryConfig config;
+  config.telemetryOut = (dir.path() / "m.prom").string();
+  config.telemetryIntervalMs = 50;
+  {
+    sweep::SweepTelemetry telemetry(config);
+    // The file exists from t=0, not only after one interval.
+    EXPECT_TRUE(std::filesystem::exists(config.telemetryOut));
+    telemetry.workerSpawn(0);
+    telemetry.workerSpawn(1);
+    telemetry.finish();  // stops the thread and writes one final snapshot
+    EXPECT_TRUE(hasLine(readFileText(config.telemetryOut),
+                        "iop_sweep_worker_spawns_total 2"));
+    telemetry.workerSpawn(2);
+    telemetry.finish();  // idempotent: no second snapshot
   }
-  for (auto& th : pool) th.join();
-  const auto total =
-      static_cast<std::uint64_t>(kThreads) * kPerThread;
-  EXPECT_EQ(counter.value(), total);
-  EXPECT_EQ(metrics.counter("sweep.computed").value(), total);
-  EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(total));
-  EXPECT_EQ(hist.count(), total);
-  std::uint64_t bucketSum = 0;
-  for (const auto c : hist.bucketCounts()) bucketSum += c;
-  EXPECT_EQ(bucketSum, total);
+  EXPECT_TRUE(hasLine(readFileText(config.telemetryOut),
+                      "iop_sweep_worker_spawns_total 2"));
+  {
+    sweep::SweepTelemetry telemetry(config);
+    telemetry.cellsSkipped(3);
+  }  // destruction finishes too
+  EXPECT_TRUE(hasLine(readFileText(config.telemetryOut),
+                      "iop_sweep_skipped_total 3"));
+}
+
+TEST(RuntimeTelemetry, IntervalBelowTenMillisecondsIsRejected) {
+  // iop-sweep rejects --telemetry-interval-ms < 10 with its own
+  // diagnostic; a library caller gets the same floor as an exception
+  // instead of a silent clamp, before any file is opened.
+  TempDir dir("tele_interval");
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  config.telemetryOut = (dir.path() / "m.prom").string();
+  for (const int ms : {9, 0, -5}) {
+    config.telemetryIntervalMs = ms;
+    EXPECT_THROW(sweep::SweepTelemetry{config}, std::invalid_argument) << ms;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.path()));
+  config.telemetryIntervalMs = 10;
+  EXPECT_NO_THROW(sweep::SweepTelemetry{config});
+  EXPECT_TRUE(std::filesystem::exists(config.telemetryOut));
 }
 
 TEST(RuntimeTelemetry, ProgressMeterCountsEvaluatedCellsOnly) {
@@ -916,13 +997,12 @@ TEST(RuntimeTelemetry, SweepWithTelemetryIsByteIdenticalToWithout) {
   EXPECT_TRUE(pm.inFlight.empty());
 
   // Metrics agree with the executor's own accounting.
-  const auto* computed =
-      telemetry.runtime().findCounter("sweep.computed");
-  ASSERT_NE(computed, nullptr);
-  EXPECT_EQ(computed->value(), 12u);
-  const auto* commits = telemetry.runtime().findCounter("store.cell_commits");
-  ASSERT_NE(commits, nullptr);
-  EXPECT_EQ(commits->value(), 12u);
+  const auto computed = telemetry.counterValue("sweep.computed");
+  ASSERT_TRUE(computed.has_value());
+  EXPECT_EQ(*computed, 12u);
+  const auto commits = telemetry.counterValue("store.cell_commits");
+  ASSERT_TRUE(commits.has_value());
+  EXPECT_EQ(*commits, 12u);
 }
 
 TEST(Postmortem, ReconstructsInFlightCellsFromTornJournal) {
@@ -1017,13 +1097,6 @@ class ScopedEnv {
   const char* name_;
 };
 
-std::string readFileText(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   // One cell, delayed 300ms past a 50ms soft deadline: the run journals
   // cell_slow (and bumps the slow-cell instruments) but the cell still
@@ -1050,9 +1123,9 @@ TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   const std::string journal = readFileText(config.journalPath);
   EXPECT_NE(journal.find("cell_slow"), std::string::npos);
   EXPECT_EQ(journal.find("cell_stuck"), std::string::npos);
-  const auto* slow = telemetry.runtime().findCounter("sweep.cells_slow");
-  ASSERT_NE(slow, nullptr);
-  EXPECT_EQ(slow->value(), 1u);
+  const auto slow = telemetry.counterValue("sweep.cells_slow");
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_EQ(*slow, 1u);
 }
 
 TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
@@ -1108,9 +1181,9 @@ TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
       sweep::analyzeJournal(obs::loadJournal(config.journalPath));
   EXPECT_EQ(pm.stuck, 1u);
   EXPECT_TRUE(pm.inFlight.empty());
-  const auto* stuck = telemetry.runtime().findCounter("sweep.cells_stuck");
-  ASSERT_NE(stuck, nullptr);
-  EXPECT_EQ(stuck->value(), 1u);
+  const auto stuck = telemetry.counterValue("sweep.cells_stuck");
+  ASSERT_TRUE(stuck.has_value());
+  EXPECT_EQ(*stuck, 1u);
 
   // The abandoned evaluation thread may still be sleeping; give it time
   // to drain before the campaign (which it references) is destroyed.
@@ -1177,10 +1250,9 @@ TEST(RuntimeTelemetry, SweepSurvivesJournalOnFullDisk) {
   EXPECT_EQ(outcome.failures, 0u);
   ASSERT_NE(telemetry.journal(), nullptr);
   EXPECT_TRUE(telemetry.journal()->disabled());
-  const auto* disabled =
-      telemetry.runtime().findCounter("sweep.journal_disabled");
-  ASSERT_NE(disabled, nullptr);
-  EXPECT_EQ(disabled->value(), 1u);  // noted once, not once per event
+  const auto disabled = telemetry.counterValue("sweep.journal_disabled");
+  ASSERT_TRUE(disabled.has_value());
+  EXPECT_EQ(*disabled, 1u);  // noted once, not once per event
 }
 #endif  // __linux__
 

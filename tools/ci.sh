@@ -39,9 +39,11 @@ run_flavor ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIOP_SANITIZE=undefined
 # and the cancel/resume path), the parallel app characterization at
 # campaign resolve (CampaignResolve.ParallelCharacterizationMatchesSerial,
 # with the shared thread-local FrameArena under concurrent engines), and
-# the runtime-telemetry instruments hammered from every worker
-# (RuntimeTelemetry.ConcurrentInstrumentUpdatesAreLossless, plus the
-# journal/snapshotter threads of the byte-identity test).
+# the one telemetry lock in front of the metrics registry and the exec
+# trace (RuntimeTelemetry.ConcurrentInstrumentUpdatesAreLossless: 8
+# workers claiming and committing cells while the snapshot thread renders
+# every 10 ms, plus the journal and snapshot threads of the byte-identity
+# test).
 # Building only its test keeps the flavor cheap; everything else in the
 # tree is single-threaded by design.  The ASan/UBSan flavors above run the
 # full suite, so the hostile-input trace corpus (TraceFileHostile.*) and

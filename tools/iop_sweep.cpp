@@ -45,8 +45,8 @@
 #endif
 
 #include "obs/archive.hpp"
+#include "obs/journal.hpp"
 #include "obs/profiler.hpp"
-#include "obs/runtime.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/fsck.hpp"
