@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the model-extraction pipeline:
 // LAP extraction, cycle segmentation (DP and greedy), phase detection, and
-// offset-function fitting on synthetic traces of growing size.
+// offset-function fitting on synthetic traces of growing size; plus the
+// engine hot path and a small BT-IO run bare and observed.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -8,8 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/runner.hpp"
+#include "apps/btio.hpp"
 #include "common.hpp"
+#include "configs/configs.hpp"
 #include "core/iomodel.hpp"
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "core/lap.hpp"
 #include "core/phase.hpp"
@@ -193,6 +198,26 @@ void BM_TraceParse(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceParse)->Arg(1000)->Arg(10000);
 
+void BM_ObsBtioRun(benchmark::State& state) {
+  // BT-IO class A on 4 ranks (config A), bare (0) or with a full
+  // obs::Session attached (1).  The pair bounds what observation costs a
+  // whole run: a recorder that falls back to per-event strings or by-name
+  // lookups shows up as a widening gap between the two.
+  const bool observed = state.range(0) != 0;
+  for (auto _ : state) {
+    auto cluster = configs::makeConfig(configs::ConfigId::A);
+    obs::Session session;
+    if (observed) cluster.engine->setObs(session.hub());
+    apps::BtioParams params;
+    params.mount = cluster.mount;
+    params.cls = apps::BtClass::A;
+    const auto run =
+        analysis::runAndTrace(cluster, "btio", apps::makeBtio(params), 4);
+    benchmark::DoNotOptimize(run.makespanSeconds);
+  }
+}
+BENCHMARK(BM_ObsBtioRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Console output as usual, plus every per-iteration run collected into the
 // machine-readable BENCH_core.json (schema: docs/OBSERVABILITY.md) so the
 // perf trajectory accumulates across commits.
@@ -255,12 +280,14 @@ int main(int argc, char** argv) {
   iop::bench::writeBenchJson(jsonOut, reporter.records());
   std::printf("wrote %zu benchmark results to %s\n",
               reporter.records().size(), jsonOut.c_str());
-  // The engine-hot-path subset gets its own document: CI gates on it
-  // against the committed baseline (docs/PERFORMANCE.md).
+  // The engine-hot-path subset (the observed run included) gets its own
+  // document: CI gates on it against the committed baseline
+  // (docs/PERFORMANCE.md).
   std::vector<iop::bench::BenchRecord> engineRecords;
   for (const auto& rec : reporter.records()) {
     if (rec.name.rfind("BM_Engine", 0) == 0 ||
-        rec.name.rfind("BM_Trace", 0) == 0) {
+        rec.name.rfind("BM_Trace", 0) == 0 ||
+        rec.name.rfind("BM_Obs", 0) == 0) {
       engineRecords.push_back(rec);
     }
   }

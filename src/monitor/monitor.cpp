@@ -61,27 +61,48 @@ sim::Task<void> DeviceMonitor::samplerLoop() {
 void DeviceMonitor::observeSample(const Sample& sample) {
   obs::Hub* o = engine_.obs();
   if (o == nullptr) return;
+  ObsHandles& h = obs_.get(engine_.obsEpoch(), [&](ObsHandles& fresh) {
+    if (o->trace != nullptr) {
+      fresh.readRate = o->trace->name("sectors_r/s");
+      fresh.writeRate = o->trace->name("sectors_w/s");
+      fresh.util = o->trace->name("util %");
+    }
+    fresh.tracks.assign(disks_.size(), -1);
+    fresh.peaks.assign(disks_.size(), nullptr);
+  });
   for (std::size_t i = 0; i < disks_.size(); ++i) {
     const auto& ds = sample.disks[i];
     if (o->trace != nullptr) {
       // Same (kind, name) key as the disk's own spans -> same track.
-      const int tid = o->trace->track(obs::TrackKind::Device,
+      if (h.tracks[i] < 0) {
+        h.tracks[i] = o->trace->track(obs::TrackKind::Device,
                                       disks_[i]->params().name);
-      o->trace->counterSample(obs::TrackKind::Device, tid, "sectors_r/s",
-                              sample.time, ds.sectorsReadPerSec);
-      o->trace->counterSample(obs::TrackKind::Device, tid, "sectors_w/s",
-                              sample.time, ds.sectorsWrittenPerSec);
-      o->trace->counterSample(obs::TrackKind::Device, tid, "util %",
+      }
+      o->trace->counterSample(obs::TrackKind::Device, h.tracks[i],
+                              h.readRate, sample.time,
+                              ds.sectorsReadPerSec);
+      o->trace->counterSample(obs::TrackKind::Device, h.tracks[i],
+                              h.writeRate, sample.time,
+                              ds.sectorsWrittenPerSec);
+      o->trace->counterSample(obs::TrackKind::Device, h.tracks[i], h.util,
                               sample.time, ds.utilization * 100.0);
     }
     if (o->metrics != nullptr) {
-      auto& peak =
-          o->metrics->gauge("monitor." + disks_[i]->params().name +
-                            ".peak_utilization");
-      if (ds.utilization > peak.value()) peak.set(ds.utilization);
+      if (h.peaks[i] == nullptr) {
+        h.peaks[i] = &o->metrics->gauge(
+            "monitor." + disks_[i]->params().name + ".peak_utilization");
+      }
+      if (ds.utilization > h.peaks[i]->value()) {
+        h.peaks[i]->set(ds.utilization);
+      }
     }
   }
-  if (o->metrics != nullptr) o->metrics->counter("monitor.samples").add(1);
+  if (o->metrics != nullptr) {
+    if (h.samples == nullptr) {
+      h.samples = &o->metrics->counter("monitor.samples");
+    }
+    h.samples->add(1);
+  }
 }
 
 std::string DeviceMonitor::renderCsv() const {

@@ -67,6 +67,18 @@ class DeviceMonitor {
   };
   std::vector<Baseline> baselines_;
   std::vector<Sample> samples_;
+
+  /// What observeSample() records, resolved once per attached hub; the
+  /// per-disk tracks and gauges are created at a disk's first sample.
+  struct ObsHandles {
+    obs::NameId readRate = 0;
+    obs::NameId writeRate = 0;
+    obs::NameId util = 0;
+    std::vector<int> tracks;  ///< per disk; -1 until first sample
+    std::vector<obs::Gauge*> peaks;
+    obs::Counter* samples = nullptr;
+  };
+  obs::HubCache<ObsHandles> obs_;
 };
 
 }  // namespace iop::monitor

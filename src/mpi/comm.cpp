@@ -13,30 +13,35 @@ namespace {
 /// Span + wait-time histogram for one completed collective on `rank`.
 /// Runs after the rendezvous, so the duration includes the wait for the
 /// slowest member — the "barrier/collective wait" cost centre.
-void observeCollective(Rank& rank, const char* op, double entry) {
+void observeCollective(Rank& rank, MpiOp op, double entry) {
   obs::Hub* o = rank.engine().obs();
   if (o == nullptr) return;
+  Rank::ObsHandles& h = rank.obsHandles(*o);
   const double now = rank.engine().now();
   if (o->trace != nullptr) {
-    o->trace->span(obs::TrackKind::Rank, rank.obsTrack(), op, "mpi.coll",
-                   entry, now);
+    o->trace->span(obs::TrackKind::Rank, rank.obsTrack(*o),
+                   h.opName[static_cast<std::size_t>(op)], h.collCat, entry,
+                   now);
   }
   if (o->metrics != nullptr) {
-    o->metrics
-        ->histogram("mpi.collective_wait_seconds",
-                    obs::latencyBucketsSeconds())
-        .observe(now - entry);
-    o->metrics->counter("mpi.collectives").add(1);
+    if (h.collectiveWait == nullptr) {
+      h.collectiveWait = &o->metrics->histogram(
+          "mpi.collective_wait_seconds", obs::latencyBucketsSeconds());
+      h.collectives = &o->metrics->counter("mpi.collectives");
+    }
+    h.collectiveWait->observe(now - entry);
+    h.collectives->add(1);
   }
 }
 
 /// Open a Collective activity on `rank` for the dependency-edge graph.
-std::int64_t beginCollective(Rank& rank, const char* op,
-                             std::uint64_t bytes) {
+std::int64_t beginCollective(Rank& rank, MpiOp op, std::uint64_t bytes) {
   obs::Hub* o = rank.engine().obs();
   if (o == nullptr || o->edges == nullptr) return -1;
-  return o->edges->begin(obs::ActKind::Collective, rank.id(), op,
-                         rank.engine().now(), bytes);
+  return o->edges->begin(
+      obs::ActKind::Collective, rank.id(),
+      rank.obsHandles(*o).opLabel[static_cast<std::size_t>(op)],
+      rank.engine().now(), bytes);
 }
 
 void endCollective(Rank& rank, std::int64_t act) {
@@ -113,7 +118,8 @@ sim::Task<void> Comm::rendezvous(Rank& rank, CollectiveBody* body,
   } else {
     if (er != nullptr && cause >= 0) {
       s.arrivals.push_back(er->instant(obs::ActKind::Collective, rank.id(),
-                                       "arrive", engine_.now(), cause));
+                                       rank.obsHandles(*o).arrive,
+                                       engine_.now(), cause));
     }
     while (!s.done) co_await s.cv->wait();
   }
@@ -121,33 +127,33 @@ sim::Task<void> Comm::rendezvous(Rank& rank, CollectiveBody* body,
 }
 
 sim::Task<void> Comm::barrier(Rank& rank) {
-  rank.noteCommEvent("MPI_Barrier", false);
+  rank.noteCommEvent(MpiOp::Barrier, false);
   const double entry = engine_.now();
-  const std::int64_t act = beginCollective(rank, "MPI_Barrier", 0);
+  const std::int64_t act = beginCollective(rank, MpiOp::Barrier, 0);
   DelayBody body(engine_, treeCost(0));
   co_await rendezvous(rank, &body, act);
   endCollective(rank, act);
-  observeCollective(rank, "MPI_Barrier", entry);
+  observeCollective(rank, MpiOp::Barrier, entry);
 }
 
 sim::Task<void> Comm::bcast(Rank& rank, std::uint64_t bytes) {
-  rank.noteCommEvent("MPI_Bcast", false);
+  rank.noteCommEvent(MpiOp::Bcast, false);
   const double entry = engine_.now();
-  const std::int64_t act = beginCollective(rank, "MPI_Bcast", bytes);
+  const std::int64_t act = beginCollective(rank, MpiOp::Bcast, bytes);
   DelayBody body(engine_, treeCost(bytes));
   co_await rendezvous(rank, &body, act);
   endCollective(rank, act);
-  observeCollective(rank, "MPI_Bcast", entry);
+  observeCollective(rank, MpiOp::Bcast, entry);
 }
 
 sim::Task<void> Comm::allreduce(Rank& rank, std::uint64_t bytes) {
-  rank.noteCommEvent("MPI_Allreduce", false);
+  rank.noteCommEvent(MpiOp::Allreduce, false);
   const double entry = engine_.now();
-  const std::int64_t act = beginCollective(rank, "MPI_Allreduce", bytes);
+  const std::int64_t act = beginCollective(rank, MpiOp::Allreduce, bytes);
   DelayBody body(engine_, 2 * treeCost(bytes));
   co_await rendezvous(rank, &body, act);
   endCollective(rank, act);
-  observeCollective(rank, "MPI_Allreduce", entry);
+  observeCollective(rank, MpiOp::Allreduce, entry);
 }
 
 }  // namespace iop::mpi

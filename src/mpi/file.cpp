@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
@@ -185,13 +184,13 @@ std::vector<Extent> File::mapToExtents(std::uint64_t offsetEtypes,
   return out;
 }
 
-void File::emitTrace(const char* opName, std::uint64_t offsetEtypes,
+void File::emitTrace(OpKind kind, MpiOp op, std::uint64_t offsetEtypes,
                      std::uint64_t bytes, std::uint64_t tick, double entry) {
   if (TraceSink* sink = rank_.traceSink()) {
     IoCallRecord rec;
     rec.rank = rank_.id();
     rec.fileId = shared_->logicalId();
-    rec.op = opName;
+    rec.op = mpiOpName(op);
     rec.offsetUnits = offsetEtypes;
     rec.tick = tick;
     rec.requestBytes = bytes;
@@ -202,24 +201,31 @@ void File::emitTrace(const char* opName, std::uint64_t offsetEtypes,
   // Same seam feeds the observability layer: one span per MPI-IO call on
   // the rank's track plus byte/latency metrics.
   if (obs::Hub* o = rank_.engine().obs(); o != nullptr) {
+    Rank::ObsHandles& h = rank_.obsHandles(*o);
     const double now = rank_.engine().now();
-    const bool isWrite = std::string_view(opName).find("write") !=
-                         std::string_view::npos;
+    const bool isWrite = kind == OpKind::Write;
     if (o->trace != nullptr) {
-      o->trace->span(obs::TrackKind::Rank, rank_.obsTrack(), opName,
-                     "mpi.io", entry, now,
-                     "\"file\":" + std::to_string(shared_->logicalId()) +
-                         ",\"offset\":" + std::to_string(offsetEtypes) +
-                         ",\"bytes\":" + std::to_string(bytes) +
-                         ",\"tick\":" + std::to_string(tick));
+      o->trace->span(obs::TrackKind::Rank, rank_.obsTrack(*o),
+                     h.opName[static_cast<std::size_t>(op)], h.ioCat, entry,
+                     now,
+                     obs::TraceArgs()
+                         .withFile(shared_->logicalId())
+                         .withOffset(offsetEtypes)
+                         .withBytes(bytes)
+                         .withTick(tick));
     }
     if (o->metrics != nullptr) {
-      o->metrics
-          ->counter(isWrite ? "mpi.io.bytes_written" : "mpi.io.bytes_read")
-          .add(static_cast<double>(bytes));
-      o->metrics
-          ->histogram("mpi.io.op_seconds", obs::latencyBucketsSeconds())
-          .observe(now - entry);
+      obs::Counter*& counter = isWrite ? h.bytesWritten : h.bytesRead;
+      if (counter == nullptr) {
+        counter = &o->metrics->counter(isWrite ? "mpi.io.bytes_written"
+                                               : "mpi.io.bytes_read");
+      }
+      counter->add(static_cast<double>(bytes));
+      if (h.opSeconds == nullptr) {
+        h.opSeconds = &o->metrics->histogram("mpi.io.op_seconds",
+                                             obs::latencyBucketsSeconds());
+      }
+      h.opSeconds->observe(now - entry);
     }
   }
 }
@@ -234,19 +240,31 @@ void File::updateMeta(bool collective, bool explicitOffset) {
   }
 }
 
+std::int64_t File::beginActivity(MpiOp op, double entry,
+                                 std::uint64_t bytes) {
+  obs::Hub* o = rank_.engine().obs();
+  if (o == nullptr || o->edges == nullptr) return -1;
+  return o->edges->begin(
+      obs::ActKind::MpiIo, rank_.id(),
+      rank_.obsHandles(*o).opLabel[static_cast<std::size_t>(op)], entry,
+      bytes);
+}
+
+void File::endActivity(std::int64_t act) {
+  if (act < 0) return;
+  if (obs::Hub* o = rank_.engine().obs();
+      o != nullptr && o->edges != nullptr) {
+    o->edges->end(act, rank_.engine().now());
+  }
+}
+
 sim::Task<void> File::independentOp(OpKind kind, std::uint64_t offsetEtypes,
-                                    std::uint64_t bytes,
-                                    const char* opName) {
+                                    std::uint64_t bytes, MpiOp op) {
   const std::uint64_t tick = rank_.bumpTick();
   const double entry = rank_.engine().now();
   // Root of the dependency chain for this call: everything the storage
   // stack does on its behalf carries this id as (transitive) cause.
-  std::int64_t act = -1;
-  if (obs::Hub* o = rank_.engine().obs();
-      o != nullptr && o->edges != nullptr) {
-    act = o->edges->begin(obs::ActKind::MpiIo, rank_.id(), opName, entry,
-                          bytes);
-  }
+  const std::int64_t act = beginActivity(op, entry, bytes);
   auto extents = mapToExtents(offsetEtypes, bytes);
   auto& fs = shared_->fs();
   const IoHints& hints = rank_.runtime().hints();
@@ -282,13 +300,8 @@ sim::Task<void> File::independentOp(OpKind kind, std::uint64_t offsetEtypes,
       }
     }
   }
-  if (act >= 0) {
-    if (obs::Hub* o = rank_.engine().obs();
-        o != nullptr && o->edges != nullptr) {
-      o->edges->end(act, rank_.engine().now());
-    }
-  }
-  emitTrace(opName, offsetEtypes, bytes, tick, entry);
+  endActivity(act);
+  emitTrace(kind, op, offsetEtypes, bytes, tick, entry);
 }
 
 namespace {
@@ -325,15 +338,10 @@ class TwoPhaseBody final : public CollectiveBody {
 }  // namespace
 
 sim::Task<void> File::collectiveOp(OpKind kind, std::uint64_t offsetEtypes,
-                                   std::uint64_t bytes, const char* opName) {
+                                   std::uint64_t bytes, MpiOp op) {
   const std::uint64_t tick = rank_.bumpTick();
   const double entry = rank_.engine().now();
-  std::int64_t act = -1;
-  if (obs::Hub* o = rank_.engine().obs();
-      o != nullptr && o->edges != nullptr) {
-    act = o->edges->begin(obs::ActKind::MpiIo, rank_.id(), opName, entry,
-                          bytes);
-  }
+  const std::int64_t act = beginActivity(op, entry, bytes);
 
   Contribution contribution;
   contribution.node = &rank_.node();
@@ -350,41 +358,36 @@ sim::Task<void> File::collectiveOp(OpKind kind, std::uint64_t offsetEtypes,
   TwoPhaseBody body(rank_.engine(), *shared_, rt.hints(), isWrite, act);
   co_await rt.world().rendezvous(rank_, &body, act);
 
-  if (act >= 0) {
-    if (obs::Hub* o = rank_.engine().obs();
-        o != nullptr && o->edges != nullptr) {
-      o->edges->end(act, rank_.engine().now());
-    }
-  }
-  emitTrace(opName, offsetEtypes, bytes, tick, entry);
+  endActivity(act);
+  emitTrace(kind, op, offsetEtypes, bytes, tick, entry);
 }
 
 sim::Task<void> File::writeAt(std::uint64_t offsetEtypes,
                               std::uint64_t bytes) {
   updateMeta(false, true);
   return independentOp(OpKind::Write, offsetEtypes, bytes,
-                       "MPI_File_write_at");
+                       MpiOp::FileWriteAt);
 }
 
 sim::Task<void> File::readAt(std::uint64_t offsetEtypes,
                              std::uint64_t bytes) {
   updateMeta(false, true);
   return independentOp(OpKind::Read, offsetEtypes, bytes,
-                       "MPI_File_read_at");
+                       MpiOp::FileReadAt);
 }
 
 sim::Task<void> File::writeAtAll(std::uint64_t offsetEtypes,
                                  std::uint64_t bytes) {
   updateMeta(true, true);
   return collectiveOp(OpKind::Write, offsetEtypes, bytes,
-                      "MPI_File_write_at_all");
+                      MpiOp::FileWriteAtAll);
 }
 
 sim::Task<void> File::readAtAll(std::uint64_t offsetEtypes,
                                 std::uint64_t bytes) {
   updateMeta(true, true);
   return collectiveOp(OpKind::Read, offsetEtypes, bytes,
-                      "MPI_File_read_at_all");
+                      MpiOp::FileReadAtAll);
 }
 
 namespace {
@@ -400,10 +403,10 @@ sim::Task<void> runNonBlocking(sim::Task<void> op,
 }  // namespace
 
 Request File::nonBlockingOp(OpKind kind, std::uint64_t offsetEtypes,
-                            std::uint64_t bytes, const char* opName) {
+                            std::uint64_t bytes, MpiOp op) {
   auto done = std::make_shared<sim::Latch>(rank_.engine(), 1);
   rank_.engine().spawn(runNonBlocking(
-      independentOp(kind, offsetEtypes, bytes, opName), done));
+      independentOp(kind, offsetEtypes, bytes, op), done));
   return Request(rank_.engine(), std::move(done));
 }
 
@@ -411,46 +414,46 @@ Request File::iwriteAt(std::uint64_t offsetEtypes, std::uint64_t bytes) {
   updateMeta(false, true);
   shared_->meta().sawNonBlocking = true;
   return nonBlockingOp(OpKind::Write, offsetEtypes, bytes,
-                       "MPI_File_iwrite_at");
+                       MpiOp::FileIwriteAt);
 }
 
 Request File::ireadAt(std::uint64_t offsetEtypes, std::uint64_t bytes) {
   updateMeta(false, true);
   shared_->meta().sawNonBlocking = true;
   return nonBlockingOp(OpKind::Read, offsetEtypes, bytes,
-                       "MPI_File_iread_at");
+                       MpiOp::FileIreadAt);
 }
 
 sim::Task<void> File::write(std::uint64_t bytes) {
   updateMeta(false, false);
   const std::uint64_t at = pointer_;
   pointer_ += bytes / etype_;
-  return independentOp(OpKind::Write, at, bytes, "MPI_File_write");
+  return independentOp(OpKind::Write, at, bytes, MpiOp::FileWrite);
 }
 
 sim::Task<void> File::read(std::uint64_t bytes) {
   updateMeta(false, false);
   const std::uint64_t at = pointer_;
   pointer_ += bytes / etype_;
-  return independentOp(OpKind::Read, at, bytes, "MPI_File_read");
+  return independentOp(OpKind::Read, at, bytes, MpiOp::FileRead);
 }
 
 sim::Task<void> File::writeAll(std::uint64_t bytes) {
   updateMeta(true, false);
   const std::uint64_t at = pointer_;
   pointer_ += bytes / etype_;
-  return collectiveOp(OpKind::Write, at, bytes, "MPI_File_write_all");
+  return collectiveOp(OpKind::Write, at, bytes, MpiOp::FileWriteAll);
 }
 
 sim::Task<void> File::readAll(std::uint64_t bytes) {
   updateMeta(true, false);
   const std::uint64_t at = pointer_;
   pointer_ += bytes / etype_;
-  return collectiveOp(OpKind::Read, at, bytes, "MPI_File_read_all");
+  return collectiveOp(OpKind::Read, at, bytes, MpiOp::FileReadAll);
 }
 
 sim::Task<void> File::close() {
-  rank_.noteCommEvent("MPI_File_close");
+  rank_.noteCommEvent(MpiOp::FileClose);
   co_await shared_->fs().metadataOp(rank_.node());
 }
 

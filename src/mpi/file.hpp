@@ -102,13 +102,16 @@ class File {
   enum class OpKind { Read, Write };
 
   sim::Task<void> independentOp(OpKind kind, std::uint64_t offsetEtypes,
-                                std::uint64_t bytes, const char* opName);
+                                std::uint64_t bytes, MpiOp op);
   Request nonBlockingOp(OpKind kind, std::uint64_t offsetEtypes,
-                        std::uint64_t bytes, const char* opName);
+                        std::uint64_t bytes, MpiOp op);
   sim::Task<void> collectiveOp(OpKind kind, std::uint64_t offsetEtypes,
-                               std::uint64_t bytes, const char* opName);
-  void emitTrace(const char* opName, std::uint64_t offsetEtypes,
+                               std::uint64_t bytes, MpiOp op);
+  void emitTrace(OpKind kind, MpiOp op, std::uint64_t offsetEtypes,
                  std::uint64_t bytes, std::uint64_t tick, double entry);
+  /// Open the MpiIo edge activity of one call (-1 when unobserved).
+  std::int64_t beginActivity(MpiOp op, double entry, std::uint64_t bytes);
+  void endActivity(std::int64_t act);
   void updateMeta(bool collective, bool explicitOffset);
 
   Rank& rank_;

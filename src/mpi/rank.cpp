@@ -7,6 +7,29 @@
 
 namespace iop::mpi {
 
+const char* mpiOpName(MpiOp op) noexcept {
+  static constexpr const char* kNames[kMpiOpCount] = {
+      "MPI_Send",
+      "MPI_Recv",
+      "MPI_File_open",
+      "MPI_File_close",
+      "MPI_Barrier",
+      "MPI_Bcast",
+      "MPI_Allreduce",
+      "MPI_File_write_at",
+      "MPI_File_read_at",
+      "MPI_File_write_at_all",
+      "MPI_File_read_at_all",
+      "MPI_File_iwrite_at",
+      "MPI_File_iread_at",
+      "MPI_File_write",
+      "MPI_File_read",
+      "MPI_File_write_all",
+      "MPI_File_read_all",
+  };
+  return kNames[static_cast<std::size_t>(op)];
+}
+
 Rank::Rank(Runtime& runtime, int id, storage::Node& node)
     : runtime_(runtime), id_(id), node_(node) {}
 
@@ -31,40 +54,59 @@ sim::Task<void> Rank::allreduce(std::uint64_t bytes) {
 }
 
 sim::Task<void> Rank::send(int destRank, std::uint64_t bytes) {
-  noteCommEvent("MPI_Send");
+  noteCommEvent(MpiOp::Send);
   return runtime_.deliverMessage(*this, destRank, bytes);
 }
 
 sim::Task<void> Rank::recv(int sourceRank, std::uint64_t bytes) {
-  noteCommEvent("MPI_Recv");
+  noteCommEvent(MpiOp::Recv);
   return runtime_.awaitMessage(*this, sourceRank, bytes);
 }
 
-void Rank::noteCommEvent(const std::string& op, bool obsInstant) {
+void Rank::noteCommEvent(MpiOp op, bool obsInstant) {
   const std::uint64_t t = bumpTick();
   if (TraceSink* sink = traceSink()) {
-    sink->onCommEvent(id_, t, op, engine().now());
+    sink->onCommEvent(id_, t, mpiOpName(op), engine().now());
   }
   if (obsInstant) {
     if (obs::Hub* o = engine().obs(); o != nullptr && o->trace != nullptr) {
-      o->trace->instant(obs::TrackKind::Rank, obsTrack(), op, "mpi.comm",
-                        engine().now(),
-                        "\"tick\":" + std::to_string(t));
+      const ObsHandles& h = obsHandles(*o);
+      o->trace->instant(obs::TrackKind::Rank, obsTrack(*o),
+                        h.opName[static_cast<std::size_t>(op)], h.commCat,
+                        engine().now(), obs::TraceArgs().withTick(t));
     }
   }
 }
 
-int Rank::obsTrack() {
-  if (obsTrack_ < 0) {
-    obs::Hub* o = engine().obs();
-    if (o == nullptr || o->trace == nullptr) return 0;
+Rank::ObsHandles& Rank::obsHandles(obs::Hub& hub) {
+  return obs_.get(engine().obsEpoch(), [&](ObsHandles& h) {
+    if (hub.trace != nullptr) {
+      h.ioCat = hub.trace->name("mpi.io");
+      h.collCat = hub.trace->name("mpi.coll");
+      h.commCat = hub.trace->name("mpi.comm");
+      for (std::size_t i = 0; i < kMpiOpCount; ++i) {
+        h.opName[i] = hub.trace->name(mpiOpName(static_cast<MpiOp>(i)));
+      }
+    }
+    if (hub.edges != nullptr) {
+      h.arrive = hub.edges->label("arrive");
+      for (std::size_t i = 0; i < kMpiOpCount; ++i) {
+        h.opLabel[i] = hub.edges->label(mpiOpName(static_cast<MpiOp>(i)));
+      }
+    }
+  });
+}
+
+int Rank::obsTrack(obs::Hub& hub) {
+  ObsHandles& h = obsHandles(hub);
+  if (h.track < 0) {
     const std::string& prefix = runtime_.trackPrefix();
-    obsTrack_ = prefix.empty()
-                    ? o->trace->rankTrack(id_)
-                    : o->trace->track(obs::TrackKind::Rank,
-                                      prefix + "rank " + std::to_string(id_));
+    h.track = prefix.empty()
+                  ? hub.trace->rankTrack(id_)
+                  : hub.trace->track(obs::TrackKind::Rank,
+                                     prefix + "rank " + std::to_string(id_));
   }
-  return obsTrack_;
+  return h.track;
 }
 
 TraceSink* Rank::traceSink() noexcept { return runtime_.sink(); }
@@ -72,7 +114,7 @@ TraceSink* Rank::traceSink() noexcept { return runtime_.sink(); }
 sim::Task<std::shared_ptr<File>> Rank::open(const std::string& mount,
                                             const std::string& path,
                                             AccessType accessType) {
-  noteCommEvent("MPI_File_open");
+  noteCommEvent(MpiOp::FileOpen);
   auto state = runtime_.fileState(mount, path, accessType);
   // Unique access ("-F"): each rank gets its own extent namespace.
   const int fsFileId = accessType == AccessType::Shared

@@ -6,10 +6,13 @@
 // ordering token PAS2P uses and the phase analysis depends on.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "storage/network.hpp"
@@ -22,6 +25,33 @@ class Runtime;
 class TraceSink;
 
 enum class AccessType { Shared, Unique };
+
+/// The MPI calls the rank records.  Each one's trace name and edge label
+/// are resolved once per hub, in Rank::ObsHandles.
+enum class MpiOp : std::uint8_t {
+  Send,
+  Recv,
+  FileOpen,
+  FileClose,
+  Barrier,
+  Bcast,
+  Allreduce,
+  FileWriteAt,
+  FileReadAt,
+  FileWriteAtAll,
+  FileReadAtAll,
+  FileIwriteAt,
+  FileIreadAt,
+  FileWrite,
+  FileRead,
+  FileWriteAll,
+  FileReadAll,
+};
+inline constexpr std::size_t kMpiOpCount =
+    static_cast<std::size_t>(MpiOp::FileReadAll) + 1;
+
+/// The MPI function name of `op` ("MPI_File_write_at", ...).
+const char* mpiOpName(MpiOp op) noexcept;
 
 class Rank {
  public:
@@ -64,18 +94,35 @@ class Rank {
   std::uint64_t bumpTick() noexcept { return ++tick_; }
   /// Record a non-I/O MPI event.  `obsInstant` is false when the caller
   /// emits its own richer span for the event (collectives in Comm).
-  void noteCommEvent(const std::string& op, bool obsInstant = true);
+  void noteCommEvent(MpiOp op, bool obsInstant = true);
   TraceSink* traceSink() noexcept;
 
-  /// Cached Chrome-trace track id for this rank (-1 until first use).
-  int obsTrack();
+  /// What the MPI seams record for this rank, resolved once per attached
+  /// hub.  Tracks and instruments are created at their first use.
+  struct ObsHandles {
+    int track = -1;
+    obs::NameId ioCat = 0;    ///< "mpi.io"
+    obs::NameId collCat = 0;  ///< "mpi.coll"
+    obs::NameId commCat = 0;  ///< "mpi.comm"
+    obs::LabelId arrive = 0;  ///< rendezvous arrival edge label
+    std::array<obs::NameId, kMpiOpCount> opName{};    ///< by MpiOp
+    std::array<obs::LabelId, kMpiOpCount> opLabel{};  ///< by MpiOp
+    obs::Counter* bytesWritten = nullptr;
+    obs::Counter* bytesRead = nullptr;
+    obs::Counter* collectives = nullptr;
+    obs::Histogram* opSeconds = nullptr;
+    obs::Histogram* collectiveWait = nullptr;
+  };
+  ObsHandles& obsHandles(obs::Hub& hub);
+  /// This rank's Chrome-trace track under `hub` (needs hub.trace).
+  int obsTrack(obs::Hub& hub);
 
  private:
   Runtime& runtime_;
   int id_;
   storage::Node& node_;
   std::uint64_t tick_ = 0;
-  int obsTrack_ = -1;
+  obs::HubCache<ObsHandles> obs_;
 };
 
 }  // namespace iop::mpi

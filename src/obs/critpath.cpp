@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
 namespace iop::obs {
 
@@ -19,6 +20,47 @@ std::string fmtMb(double bytes) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.2f", bytes / 1.0e6);
   return buf;
+}
+
+/// Counting-sort grouping (CSR): group g's values are
+/// values[start[g] .. start[g + 1]), in the order the items were visited.
+struct Groups {
+  std::vector<std::int64_t> start;
+  std::vector<std::int64_t> values;
+
+  std::size_t size() const noexcept { return start.size() - 1; }
+  const std::int64_t* begin(std::size_t g) const {
+    return values.data() + start[g];
+  }
+  const std::int64_t* end(std::size_t g) const {
+    return values.data() + start[g + 1];
+  }
+};
+
+/// Group items 0..n-1 by `key(i)` (in [0, groups); negative = skip),
+/// storing `value(i)` for each.
+template <class Key, class Value>
+Groups groupBy(std::size_t groups, std::size_t n, Key key, Value value) {
+  Groups g;
+  g.start.assign(groups + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t k = key(i);
+    if (k >= 0) ++g.start[static_cast<std::size_t>(k) + 1];
+  }
+  for (std::size_t k = 0; k < groups; ++k) g.start[k + 1] += g.start[k];
+  g.values.resize(static_cast<std::size_t>(g.start[groups]));
+  // Fill with start[k] as group k's cursor; afterwards start[k] holds the
+  // end of group k, so shifting right by one restores the offsets.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t k = key(i);
+    if (k >= 0) {
+      std::int64_t& cursor = g.start[static_cast<std::size_t>(k)];
+      g.values[static_cast<std::size_t>(cursor++)] = value(i);
+    }
+  }
+  for (std::size_t k = groups; k > 0; --k) g.start[k] = g.start[k - 1];
+  g.start[0] = 0;
+  return g;
 }
 
 }  // namespace
@@ -42,78 +84,95 @@ CriticalPathResult computeCriticalPath(const EdgeRecorder& rec,
   CriticalPathResult out;
   out.makespan = makespan;
   const auto& acts = rec.activities();
-
-  // Predecessor candidates per activity, from all four edge sources.
-  std::vector<std::vector<std::int64_t>> preds(acts.size());
-  for (const auto& a : acts) {
-    if (a.cause >= 0) {
-      preds[static_cast<std::size_t>(a.cause)].push_back(a.id);
-    }
-  }
-  for (const auto& l : rec.links()) {
-    preds[static_cast<std::size_t>(l.succ)].push_back(l.pred);
-  }
-
-  // Sequence edges within a group: each member gets the latest-ending
-  // non-overlapping earlier member (binary search over (end, id)).
-  auto chainGroup = [&](const std::vector<std::int64_t>& ids) {
-    std::vector<std::pair<double, std::int64_t>> byEnd;
-    byEnd.reserve(ids.size());
-    for (std::int64_t id : ids) {
-      const Activity& a = acts[static_cast<std::size_t>(id)];
-      if (a.closed()) byEnd.emplace_back(a.end, id);
-    }
-    std::sort(byEnd.begin(), byEnd.end());
-    for (std::int64_t id : ids) {
-      const double b = acts[static_cast<std::size_t>(id)].begin;
-      auto it = std::upper_bound(
-          byEnd.begin(), byEnd.end(),
-          std::make_pair(b, std::numeric_limits<std::int64_t>::max()));
-      while (it != byEnd.begin()) {
-        const auto& cand = *(it - 1);
-        if (cand.second == id) {  // a zero-duration self-match
-          --it;
-          continue;
-        }
-        preds[static_cast<std::size_t>(id)].push_back(cand.second);
-        break;
-      }
-    }
+  const std::size_t n = acts.size();
+  auto act = [&](std::int64_t id) -> const Activity& {
+    return acts[static_cast<std::size_t>(id)];
   };
+  auto self = [](std::size_t i) { return static_cast<std::int64_t>(i); };
 
-  {
-    // Siblings: children sharing one cause (sequential chunk loops).
-    std::map<std::int64_t, std::vector<std::int64_t>> byCause;
-    // Program order: root activities owned by one rank.
-    std::map<int, std::vector<std::int64_t>> byRank;
-    for (const auto& a : acts) {
-      if (a.cause >= 0) {
-        byCause[a.cause].push_back(a.id);
-      } else if (a.rank >= 0) {
-        byRank[a.rank].push_back(a.id);
-      }
+  // Predecessor candidates of an activity, from the four edge sources:
+  // its children (grouped by cause, ascending id), the links into it
+  // (sorted by succ) and at most one sequence predecessor (seqPred).
+  const Groups children = groupBy(
+      n, n, [&](std::size_t i) { return acts[i].cause; }, self);
+  std::vector<CausalLink> linksIn(rec.links().begin(), rec.links().end());
+  std::sort(linksIn.begin(), linksIn.end(),
+            [](const CausalLink& a, const CausalLink& b) {
+              return a.succ < b.succ;
+            });
+  // Program order: root activities owned by one rank, grouped by rank.
+  std::vector<std::int64_t> roots;
+  int maxRank = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (acts[i].cause < 0 && acts[i].rank >= 0) {
+      roots.push_back(self(i));
+      maxRank = std::max(maxRank, acts[i].rank);
     }
-    for (const auto& [cause, ids] : byCause) chainGroup(ids);
-    for (const auto& [rank, ids] : byRank) chainGroup(ids);
   }
+  const Groups rankRoots = groupBy(
+      static_cast<std::size_t>(maxRank + 1), roots.size(),
+      [&](std::size_t r) -> std::int64_t { return act(roots[r]).rank; },
+      [&](std::size_t r) { return roots[r]; });
+
+  // Sequence predecessor within a group — siblings sharing one cause
+  // (sequential chunk loops), or one rank's roots: the latest-ending
+  // non-overlapping earlier member, by binary search over the group's
+  // closed members in (end, id) order.  A group is sorted the first time
+  // the walk asks; most never are.
+  using ByEnd = std::vector<std::pair<double, std::int64_t>>;
+  std::unordered_map<std::size_t, ByEnd> sortedSiblings;
+  std::unordered_map<std::size_t, ByEnd> sortedRoots;
+  auto sortedGroup = [&](std::unordered_map<std::size_t, ByEnd>& cache,
+                         const Groups& groups,
+                         std::size_t g) -> const ByEnd& {
+    auto [it, fresh] = cache.try_emplace(g);
+    if (fresh) {
+      for (const std::int64_t* id = groups.begin(g); id != groups.end(g);
+           ++id) {
+        if (act(*id).closed()) it->second.emplace_back(act(*id).end, *id);
+      }
+      std::sort(it->second.begin(), it->second.end());
+    }
+    return it->second;
+  };
+  auto seqPred = [&](std::int64_t id) -> std::int64_t {
+    const Activity& a = act(id);
+    const ByEnd* group = nullptr;
+    if (a.cause >= 0) {
+      group = &sortedGroup(sortedSiblings, children,
+                           static_cast<std::size_t>(a.cause));
+    } else if (a.rank >= 0) {
+      group = &sortedGroup(sortedRoots, rankRoots,
+                           static_cast<std::size_t>(a.rank));
+    } else {
+      return -1;
+    }
+    auto it = std::upper_bound(
+        group->begin(), group->end(),
+        std::make_pair(a.begin, std::numeric_limits<std::int64_t>::max()));
+    while (it != group->begin()) {
+      --it;
+      if (it->second != id) return it->second;  // skip a zero-length self
+    }
+    return -1;
+  };
 
   // Chain head: the latest-ending closed activity not past the makespan,
   // preferring rank-owned work (ranks define the application's end).
   const double lim = makespan + 1e-12;
   std::int64_t head = -1;
   bool headRankOwned = false;
-  for (const auto& a : acts) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Activity& a = acts[i];
     if (!a.closed() || a.end > lim) continue;
     const bool ro = a.rank >= 0;
     if (head >= 0) {
-      const Activity& h = acts[static_cast<std::size_t>(head)];
+      const Activity& h = act(head);
       if (headRankOwned && !ro) continue;
-      if (ro == headRankOwned) {
-        if (a.end < h.end) continue;
-        if (a.end == h.end && a.id < head) continue;
-      }
+      // Ids ascend, so an equal end always moves the head forward.
+      if (ro == headRankOwned && a.end < h.end) continue;
     }
-    head = a.id;
+    head = self(i);
     headRankOwned = ro;
   }
 
@@ -139,41 +198,58 @@ CriticalPathResult computeCriticalPath(const EdgeRecorder& rec,
     // when the walk steps to a predecessor, never when it climbs to a
     // parent, so every candidate must be strictly earlier than the most
     // recent real step.
-    double keyEnd = acts[static_cast<std::size_t>(cur)].end;
+    double keyEnd = act(cur).end;
     std::int64_t keyId = cur;
     pushGap(keyEnd, "finalize");
-    auto pushSeg = [&](const Activity& a, double from) {
+    auto pushSeg = [&](std::int64_t id, double from) {
       const double segStart = std::min(cursor, from);
       if (segStart < cursor) {
+        const Activity& a = act(id);
         BlameSegment s;
         s.begin = segStart;
         s.end = cursor;
-        s.activity = a.id;
+        s.activity = id;
         s.kind = a.kind;
         s.rank = a.rank;
-        s.label = a.label;
+        s.label = rec.labelText(a.label);
         segs.push_back(std::move(s));
         cursor = segStart;
       }
     };
     for (;;) {
-      const Activity& a = acts[static_cast<std::size_t>(cur)];
+      const Activity& a = act(cur);
+      // The latest (end, id) candidate strictly before the key; the
+      // order candidates are visited in cannot change the pick.
       std::int64_t best = -1;
-      for (std::int64_t p : preds[static_cast<std::size_t>(cur)]) {
-        const Activity& ap = acts[static_cast<std::size_t>(p)];
-        if (!ap.closed()) continue;
-        if (ap.end > keyEnd || (ap.end == keyEnd && p >= keyId)) continue;
+      auto consider = [&](std::int64_t p) {
+        const Activity& ap = act(p);
+        if (!ap.closed()) return;
+        if (ap.end > keyEnd || (ap.end == keyEnd && p >= keyId)) return;
         if (best >= 0) {
-          const Activity& ab = acts[static_cast<std::size_t>(best)];
-          if (ap.end < ab.end || (ap.end == ab.end && p < best)) continue;
+          const Activity& ab = act(best);
+          if (ap.end < ab.end || (ap.end == ab.end && p < best)) return;
         }
         best = p;
+      };
+      const auto c = static_cast<std::size_t>(cur);
+      for (const std::int64_t* p = children.begin(c); p != children.end(c);
+           ++p) {
+        consider(*p);
       }
+      for (auto l = std::lower_bound(linksIn.begin(), linksIn.end(), cur,
+                                     [](const CausalLink& link,
+                                        std::int64_t succ) {
+                                       return link.succ < succ;
+                                     });
+           l != linksIn.end() && l->succ == cur; ++l) {
+        consider(l->pred);
+      }
+      if (const std::int64_t p = seqPred(cur); p >= 0) consider(p);
       if (best < 0) {
         // Nothing precedes `a` itself — blame it down to its start, then
         // climb to the activity it serves: whatever precedes the parent
         // (program order, earlier siblings) also precedes this child.
-        pushSeg(a, a.begin);
+        pushSeg(cur, a.begin);
         if (a.cause >= 0) {
           cur = a.cause;
           continue;
@@ -181,8 +257,8 @@ CriticalPathResult computeCriticalPath(const EdgeRecorder& rec,
         pushGap(0, "startup");
         break;
       }
-      const double predEnd = acts[static_cast<std::size_t>(best)].end;
-      pushSeg(a, std::max(a.begin, predEnd));
+      const double predEnd = act(best).end;
+      pushSeg(cur, std::max(a.begin, predEnd));
       pushGap(predEnd, "compute");
       cur = best;
       keyEnd = predEnd;

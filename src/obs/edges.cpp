@@ -14,36 +14,6 @@ const char* actKindName(ActKind kind) {
   return "?";
 }
 
-std::int64_t EdgeRecorder::begin(ActKind kind, int rank, std::string label,
-                                 double at, std::uint64_t bytes,
-                                 std::int64_t cause) {
-  Activity a;
-  a.id = static_cast<std::int64_t>(activities_.size());
-  a.kind = kind;
-  a.rank = rank;
-  a.begin = at;
-  a.end = at - 1;  // open
-  a.bytes = bytes;
-  a.cause = cause >= 0 && cause < a.id ? cause : kNoCause;
-  a.label = std::move(label);
-  activities_.push_back(std::move(a));
-  return activities_.back().id;
-}
-
-void EdgeRecorder::end(std::int64_t id, double at) {
-  if (id < 0 || id >= static_cast<std::int64_t>(activities_.size())) return;
-  Activity& a = activities_[static_cast<std::size_t>(id)];
-  a.end = at < a.begin ? a.begin : at;
-}
-
-std::int64_t EdgeRecorder::instant(ActKind kind, int rank, std::string label,
-                                   double at, std::int64_t cause) {
-  const std::int64_t id =
-      begin(kind, rank, std::move(label), at, 0, cause);
-  end(id, at);
-  return id;
-}
-
 void EdgeRecorder::link(std::int64_t pred, std::int64_t succ) {
   const auto n = static_cast<std::int64_t>(activities_.size());
   if (pred < 0 || succ < 0 || pred >= n || succ >= n || pred == succ) return;

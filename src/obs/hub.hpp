@@ -10,12 +10,18 @@
 // Recording must never perturb the simulation: hub users may not touch
 // Engine::rng() or schedule/reorder events.
 //
+// Components resolve what they record against a hub (track ids, label and
+// name ids, instrument handles) once and keep it in an obs::HubCache keyed
+// to the engine's attach epoch, so the hot path appends plain data and a
+// newly attached hub is never fed ids from the previous one.
+//
 // Session is the convenience owner used by tools and tests: it owns one
 // instance of each sink and exposes the Hub view to attach to engines.
 // Unwanted sinks are disabled by nulling the corresponding Hub pointer.
 #pragma once
 
 #include "obs/edges.hpp"
+#include "obs/hubcache.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"

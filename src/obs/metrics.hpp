@@ -1,10 +1,14 @@
 // Named metrics: counters, gauges, and fixed-bucket histograms.
 //
-// The registry owns its instruments (stable addresses; components cache
-// the pointer returned by counter()/gauge()/histogram() so the per-event
-// cost is one pointer dereference plus an add).  Rendering iterates a
-// name-ordered map, so the CSV output of a deterministic simulation is
-// byte-identical across same-seed runs — the property the obs tests pin.
+// The registry owns its instruments at stable addresses.  The by-name
+// getters (a map lookup plus a kind check) are for resolving: every
+// simulation seam calls one at an instrument's first use and keeps the
+// returned pointer in its obs::HubCache (hub.hpp), so an event costs a
+// pointer dereference plus an add.  The cold callers — the sweep
+// executor's end-of-run totals, the campaign telemetry — look up by name.
+// Rendering iterates a name-ordered map, so the CSV output of a
+// deterministic simulation is byte-identical across same-seed runs — the
+// property the obs tests pin.
 //
 // Histogram bucket semantics are Prometheus-style cumulative "le" bounds
 // made non-cumulative: a value v lands in the first bucket whose upper

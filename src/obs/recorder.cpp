@@ -1,6 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -10,8 +11,6 @@
 namespace iop::obs {
 
 namespace {
-
-constexpr double kUsPerSec = 1e6;
 
 const char* processName(TrackKind kind) {
   switch (kind) {
@@ -117,48 +116,50 @@ int TraceRecorder::rankTrack(int rank) {
   return track(TrackKind::Rank, "rank " + std::to_string(rank));
 }
 
+void TraceRecorder::attachJson(TraceEvent& ev, std::string argsJson) {
+  if (argsJson.empty()) return;
+  ev.args = TraceEvent::kJson;
+  argWords_.push_back(jsonArgs_.size());
+  jsonArgs_.push_back(std::move(argsJson));
+}
+
 void TraceRecorder::span(TrackKind kind, int tid, const std::string& name,
                          const std::string& cat, double beginSec,
                          double endSec, std::string argsJson) {
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.phase = EventPhase::Complete;
-  ev.pid = static_cast<int>(kind);
-  ev.tid = tid;
-  ev.tsUs = beginSec * kUsPerSec;
-  ev.durUs = (endSec - beginSec) * kUsPerSec;
-  if (ev.durUs < 0) ev.durUs = 0;
-  ev.argsJson = std::move(argsJson);
-  events_.push_back(std::move(ev));
+  span(kind, tid, this->name(name), this->name(cat), beginSec, endSec);
+  attachJson(events_.back(), std::move(argsJson));
 }
 
 void TraceRecorder::instant(TrackKind kind, int tid, const std::string& name,
                             const std::string& cat, double atSec,
                             std::string argsJson) {
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.phase = EventPhase::Instant;
-  ev.pid = static_cast<int>(kind);
-  ev.tid = tid;
-  ev.tsUs = atSec * kUsPerSec;
-  ev.argsJson = std::move(argsJson);
-  events_.push_back(std::move(ev));
+  instant(kind, tid, this->name(name), this->name(cat), atSec);
+  attachJson(events_.back(), std::move(argsJson));
 }
 
-void TraceRecorder::counterSample(TrackKind kind, int tid,
-                                  const std::string& name, double atSec,
-                                  double value) {
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = "counter";
-  ev.phase = EventPhase::Counter;
-  ev.pid = static_cast<int>(kind);
-  ev.tid = tid;
-  ev.tsUs = atSec * kUsPerSec;
-  ev.argsJson = "\"value\":" + renderNumber(value);
-  events_.push_back(std::move(ev));
+void TraceRecorder::renderArgs(std::ostream& out, const TraceEvent& ev,
+                               std::size_t word) const {
+  out << ",\"args\":{";
+  if (ev.args == TraceEvent::kJson) {
+    out << jsonArgs_[argWords_[word]];
+  } else {
+    const char* sep = "";
+    auto field = [&](std::uint8_t bit, const char* key) {
+      if ((ev.args & bit) == 0) return;
+      out << sep << '"' << key << "\":";
+      if (bit == TraceArgs::kFile) {
+        out << static_cast<std::int64_t>(argWords_[word++]);
+      } else {
+        out << argWords_[word++];
+      }
+      sep = ",";
+    };
+    field(TraceArgs::kFile, "file");
+    field(TraceArgs::kOffset, "offset");
+    field(TraceArgs::kBytes, "bytes");
+    field(TraceArgs::kTick, "tick");
+  }
+  out << "}";
 }
 
 void TraceRecorder::writeJson(std::ostream& out) const {
@@ -190,19 +191,34 @@ void TraceRecorder::writeJson(std::ostream& out) const {
 
   // Data events in timestamp order (stable sort keeps same-ts events in
   // recording order, which for a deterministic sim is itself
-  // deterministic).
-  std::vector<const TraceEvent*> ordered;
+  // deterministic).  Args words sit in recording order, so each event's
+  // first word is a running count taken before the sort.
+  struct Ordered {
+    const TraceEvent* ev;
+    std::size_t word;
+  };
+  std::vector<Ordered> ordered;
   ordered.reserve(events_.size());
-  for (const auto& ev : events_) ordered.push_back(&ev);
+  std::size_t word = 0;
+  for (const auto& ev : events_) {
+    ordered.push_back({&ev, word});
+    word += ev.args == TraceEvent::kJson ? 1 : std::popcount(ev.args);
+  }
   std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) {
-                     return a->tsUs < b->tsUs;
+                   [](const Ordered& a, const Ordered& b) {
+                     return a.ev->tsUs < b.ev->tsUs;
                    });
-  for (const TraceEvent* ev : ordered) {
+  // Each interned name is escaped once, not once per event.
+  std::vector<std::string> escaped(names_.size());
+  for (std::size_t i = 0; i < escaped.size(); ++i) {
+    escaped[i] = jsonEscape(names_.str(static_cast<NameId>(i)));
+  }
+  for (const auto& [ev, firstWord] : ordered) {
     comma();
-    out << "{\"name\":\"" << jsonEscape(ev->name) << "\",\"cat\":\""
-        << jsonEscape(ev->cat) << "\",\"ph\":\""
-        << static_cast<char>(ev->phase) << "\",\"pid\":" << ev->pid
+    out << "{\"name\":\"" << escaped[ev->name] << "\",\"cat\":\""
+        << escaped[ev->cat] << "\",\"ph\":\""
+        << static_cast<char>(ev->phase)
+        << "\",\"pid\":" << static_cast<int>(ev->pid)
         << ",\"tid\":" << ev->tid << ",\"ts\":" << renderNumber(ev->tsUs);
     if (ev->phase == EventPhase::Complete) {
       out << ",\"dur\":" << renderNumber(ev->durUs);
@@ -210,8 +226,10 @@ void TraceRecorder::writeJson(std::ostream& out) const {
     if (ev->phase == EventPhase::Instant) {
       out << ",\"s\":\"t\"";  // thread-scoped instant
     }
-    if (!ev->argsJson.empty()) {
-      out << ",\"args\":{" << ev->argsJson << "}";
+    if (ev->phase == EventPhase::Counter) {
+      out << ",\"args\":{\"value\":" << renderNumber(ev->durUs) << "}";
+    } else if (ev->args != 0) {
+      renderArgs(out, *ev, firstWord);
     }
     out << "}";
   }

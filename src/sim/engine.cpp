@@ -73,39 +73,46 @@ void Engine::dispatchUntil(Time limit, bool bounded) {
 }
 
 void Engine::observeDispatch() {
+  ObsHandles& h = obsHandles_.get(obsEpoch_, [&](ObsHandles& fresh) {
+    // This dispatch is the first the newly attached hub sees; the first
+    // "dispatch rate" sample counts from it.
+    fresh.lastDispatched = dispatched_ - 1;
+  });
   // Edge emission at dispatch: advance the recorder's time horizon so
   // activities abandoned at teardown can be clamped post-run.
   if (obs_->edges != nullptr) obs_->edges->noteDispatch(now_);
-  if (now_ >= obsNextSample_) sampleObs();
+  if (now_ >= h.nextSample) sampleObs(h);
 }
 
 /// Throttled engine-level samples: ready-queue depth as a counter track,
 /// dispatch totals into the registry.  Sampling reads state only; it never
-/// schedules or consumes randomness.  Instrument handles and the track id
-/// are resolved once per setObs() — registries guarantee stable addresses —
-/// so the sample itself is just buffered appends.
-void Engine::sampleObs() {
+/// schedules or consumes randomness.  Instrument handles, the track id and
+/// the series names are resolved once per attached hub — registries
+/// guarantee stable addresses — so the sample itself is just buffered
+/// appends.
+void Engine::sampleObs(ObsHandles& h) {
   if (obs_->metrics != nullptr) {
-    if (obsDispatchedGauge_ == nullptr) {
-      obsDispatchedGauge_ = &obs_->metrics->gauge("sim.events_dispatched");
-      obsLiveGauge_ = &obs_->metrics->gauge("sim.live_processes");
+    if (h.dispatchedGauge == nullptr) {
+      h.dispatchedGauge = &obs_->metrics->gauge("sim.events_dispatched");
+      h.liveGauge = &obs_->metrics->gauge("sim.live_processes");
     }
-    obsDispatchedGauge_->set(static_cast<double>(dispatched_));
-    obsLiveGauge_->set(static_cast<double>(liveDetached_));
+    h.dispatchedGauge->set(static_cast<double>(dispatched_));
+    h.liveGauge->set(static_cast<double>(liveDetached_));
   }
   if (obs_->trace != nullptr) {
-    if (obsTrackId_ < 0) {
-      obsTrackId_ = obs_->trace->track(obs::TrackKind::Sim, "engine");
+    if (h.track < 0) {
+      h.track = obs_->trace->track(obs::TrackKind::Sim, "engine");
+      h.readyName = obs_->trace->name("ready queue");
+      h.rateName = obs_->trace->name("dispatch rate");
     }
-    obs_->trace->counterSample(obs::TrackKind::Sim, obsTrackId_,
-                               "ready queue", now_,
-                               static_cast<double>(queue_.size()));
+    obs_->trace->counterSample(obs::TrackKind::Sim, h.track, h.readyName,
+                               now_, static_cast<double>(queue_.size()));
     obs_->trace->counterSample(
-        obs::TrackKind::Sim, obsTrackId_, "dispatch rate", now_,
-        static_cast<double>(dispatched_ - obsLastDispatched_));
+        obs::TrackKind::Sim, h.track, h.rateName, now_,
+        static_cast<double>(dispatched_ - h.lastDispatched));
   }
-  obsLastDispatched_ = dispatched_;
-  obsNextSample_ = now_ + obsSampleInterval_;
+  h.lastDispatched = dispatched_;
+  h.nextSample = now_ + obsSampleInterval_;
 }
 
 void Engine::throwIfFailed() {

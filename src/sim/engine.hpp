@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/hubcache.hpp"
 #include "sim/readyqueue.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
@@ -121,13 +122,17 @@ class Engine {
   /// reaches its sinks through here, so one call observes the whole
   /// simulation.  Recording is passive: it must not consume rng() or
   /// reorder the ready queue, so attaching cannot change a run's outcome.
+  ///
+  /// Every call starts a new attach epoch.  Components that resolve track
+  /// ids, label ids or instrument handles against the hub key them to
+  /// obsEpoch() (obs::HubCache), so nothing resolved against one hub is
+  /// used with the next.
   void setObs(obs::Hub* hub) noexcept {
     obs_ = hub;
-    obsDispatchedGauge_ = nullptr;
-    obsLiveGauge_ = nullptr;
-    obsTrackId_ = -1;
+    ++obsEpoch_;
   }
   obs::Hub* obs() const noexcept { return obs_; }
+  std::uint64_t obsEpoch() const noexcept { return obsEpoch_; }
 
   /// Seconds of simulated time between engine-level counter samples
   /// (queue depth / dispatch rate) in the exported trace.
@@ -152,7 +157,20 @@ class Engine {
   /// Cold path: edge horizon + throttled samples; only entered when a hub
   /// is attached.
   void observeDispatch();
-  void sampleObs();
+
+  /// What the engine records, resolved once per attached hub (same
+  /// HubCache rule as every other seam).  The gauges and the track are
+  /// created at the first sample.
+  struct ObsHandles {
+    obs::Gauge* dispatchedGauge = nullptr;
+    obs::Gauge* liveGauge = nullptr;
+    int track = -1;
+    std::uint32_t readyName = 0;  ///< obs::NameId of "ready queue"
+    std::uint32_t rateName = 0;   ///< obs::NameId of "dispatch rate"
+    Time nextSample = 0;
+    std::uint64_t lastDispatched = 0;  ///< dispatched_ at the last sample
+  };
+  void sampleObs(ObsHandles& h);
 
   Time now_ = 0;
   std::uint64_t seq_ = 0;
@@ -164,14 +182,9 @@ class Engine {
   util::Rng rng_;
 
   obs::Hub* obs_ = nullptr;
+  std::uint64_t obsEpoch_ = 0;
   Time obsSampleInterval_ = 0.1;
-  Time obsNextSample_ = 0;
-  std::uint64_t obsLastDispatched_ = 0;
-  /// Cached instrument handles (stable addresses per MetricsRegistry /
-  /// TraceRecorder contract) so sampling skips the by-name lookups.
-  obs::Gauge* obsDispatchedGauge_ = nullptr;
-  obs::Gauge* obsLiveGauge_ = nullptr;
-  int obsTrackId_ = -1;
+  obs::HubCache<ObsHandles> obsHandles_;
 };
 
 }  // namespace iop::sim

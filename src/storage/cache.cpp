@@ -68,19 +68,29 @@ void PageCache::throwFailed() const {
   throw IoFault(failedTarget_, failedWhat_);
 }
 
+PageCache::ObsHandles& PageCache::obsHandles(obs::Hub& hub) {
+  return obs_.get(engine_.obsEpoch(), [&](ObsHandles& h) {
+    if (hub.edges != nullptr) {
+      h.label = hub.edges->label("cache " + device_.describe());
+    }
+    if (hub.trace != nullptr) h.dirty = hub.trace->name("dirty bytes");
+  });
+}
+
 /// Throttled "dirty bytes" counter track: shows the write-back backlog that
 /// makes device activity outlast the application's I/O phases (Fig. 8).
 void PageCache::obsSampleDirty() {
   obs::Hub* o = engine_.obs();
   if (o == nullptr || o->trace == nullptr) return;
-  if (engine_.now() < obsNextSample_ && dirtyBytes() != 0) return;
-  if (obsTrack_ < 0) {
-    obsTrack_ = o->trace->track(obs::TrackKind::Device,
-                                "cache " + device_.describe());
+  ObsHandles& h = obsHandles(*o);
+  if (engine_.now() < h.nextSample && dirtyBytes() != 0) return;
+  if (h.track < 0) {
+    h.track = o->trace->track(obs::TrackKind::Device,
+                              "cache " + device_.describe());
   }
-  o->trace->counterSample(obs::TrackKind::Device, obsTrack_, "dirty bytes",
+  o->trace->counterSample(obs::TrackKind::Device, h.track, h.dirty,
                           engine_.now(), static_cast<double>(dirtyBytes()));
-  obsNextSample_ = engine_.now() + 0.1;
+  h.nextSample = engine_.now() + 0.1;
 }
 
 /// Open a Cache activity covering the caller-visible portion of a request
@@ -89,9 +99,8 @@ void PageCache::obsSampleDirty() {
 std::int64_t PageCache::obsBegin(std::uint64_t bytes, std::int64_t cause) {
   obs::Hub* o = engine_.obs();
   if (o == nullptr || o->edges == nullptr) return -1;
-  if (obsLabel_.empty()) obsLabel_ = "cache " + device_.describe();
-  return o->edges->begin(obs::ActKind::Cache, -1, obsLabel_, engine_.now(),
-                         bytes, cause);
+  return o->edges->begin(obs::ActKind::Cache, -1, obsHandles(*o).label,
+                         engine_.now(), bytes, cause);
 }
 
 void PageCache::obsEnd(std::int64_t act) {
@@ -104,14 +113,20 @@ void PageCache::obsEnd(std::int64_t act) {
 void PageCache::obsNoteRead(std::uint64_t hitBytes, std::uint64_t missBytes) {
   obs::Hub* o = engine_.obs();
   if (o == nullptr || o->metrics == nullptr) return;
-  o->metrics->counter("cache.read_hit_bytes")
-      .add(static_cast<double>(hitBytes));
-  o->metrics->counter("cache.read_miss_bytes")
-      .add(static_cast<double>(missBytes));
-  const double hits = o->metrics->counter("cache.read_hit_bytes").value();
-  const double misses = o->metrics->counter("cache.read_miss_bytes").value();
+  ObsHandles& h = obsHandles(*o);
+  if (h.hitBytes == nullptr) {
+    h.hitBytes = &o->metrics->counter("cache.read_hit_bytes");
+    h.missBytes = &o->metrics->counter("cache.read_miss_bytes");
+  }
+  h.hitBytes->add(static_cast<double>(hitBytes));
+  h.missBytes->add(static_cast<double>(missBytes));
+  const double hits = h.hitBytes->value();
+  const double misses = h.missBytes->value();
   if (hits + misses > 0) {
-    o->metrics->gauge("cache.read_hit_ratio").set(hits / (hits + misses));
+    if (h.hitRatio == nullptr) {
+      h.hitRatio = &o->metrics->gauge("cache.read_hit_ratio");
+    }
+    h.hitRatio->set(hits / (hits + misses));
   }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -122,9 +123,18 @@ class PageCache {
   void obsSampleDirty();
   std::int64_t obsBegin(std::uint64_t bytes, std::int64_t cause);
   void obsEnd(std::int64_t act);
-  int obsTrack_ = -1;          ///< cached trace track id
-  double obsNextSample_ = 0;   ///< throttle for the dirty-bytes track
-  std::string obsLabel_;       ///< cached activity label
+  /// What the obs hooks record with, resolved once per attached hub.
+  struct ObsHandles {
+    obs::LabelId label = 0;  ///< edge label "cache <device>"
+    obs::NameId dirty = 0;   ///< "dirty bytes" counter series
+    int track = -1;          ///< registered at the first dirty sample
+    double nextSample = 0;   ///< throttle for the dirty-bytes track
+    obs::Counter* hitBytes = nullptr;  ///< created at first use
+    obs::Counter* missBytes = nullptr;
+    obs::Gauge* hitRatio = nullptr;
+  };
+  ObsHandles& obsHandles(obs::Hub& hub);
+  obs::HubCache<ObsHandles> obs_;
 };
 
 }  // namespace iop::storage

@@ -27,15 +27,30 @@ void Disk::setDegradation(double factor) {
   degradation_ = factor;
 }
 
+Disk::ObsHandles& Disk::obsHandles(obs::Hub& hub) {
+  return obs_.get(engine_.obsEpoch(), [&](ObsHandles& h) {
+    if (hub.edges != nullptr) h.label = hub.edges->label(params_.name);
+    if (hub.trace != nullptr) {
+      h.read = hub.trace->name("read");
+      h.write = hub.trace->name("write");
+      h.cat = hub.trace->name("disk");
+    }
+  });
+}
+
 sim::Task<void> Disk::access(std::uint64_t offset, std::uint64_t size,
                              IoOp op, std::int64_t cause) {
   std::int64_t act = -1;
   if (obs::Hub* o = engine_.obs(); o != nullptr) {
+    ObsHandles& h = obsHandles(*o);
     // Depth seen by this request on arrival: waiters + the one in service.
     const int depth = arm_.queueLength() + arm_.inUse();
     if (o->metrics != nullptr) {
-      o->metrics->histogram("disk.queue_depth", obs::depthBuckets())
-          .observe(static_cast<double>(depth));
+      if (h.queueDepth == nullptr) {
+        h.queueDepth =
+            &o->metrics->histogram("disk.queue_depth", obs::depthBuckets());
+      }
+      h.queueDepth->observe(static_cast<double>(depth));
     }
     if (depth >= 64 && !queueWarned_ && o->wantsLog(obs::LogLevel::Warn)) {
       queueWarned_ = true;
@@ -48,8 +63,8 @@ sim::Task<void> Disk::access(std::uint64_t offset, std::uint64_t size,
     if (o->edges != nullptr) {
       // The activity opens at arrival, so queue wait is inside it — the
       // critical path sees the latency the *request* experienced.
-      act = o->edges->begin(obs::ActKind::Disk, -1, params_.name,
-                            engine_.now(), size, cause);
+      act = o->edges->begin(obs::ActKind::Disk, -1, h.label, engine_.now(),
+                            size, cause);
     }
   }
   co_await arm_.acquire();
@@ -108,20 +123,24 @@ sim::Task<void> Disk::access(std::uint64_t offset, std::uint64_t size,
   co_await engine_.delay(t * slow);
   arm_.release();
   if (obs::Hub* o = engine_.obs(); o != nullptr) {
+    ObsHandles& h = obsHandles(*o);
     const bool read = op == IoOp::Read;
     if (o->edges != nullptr) o->edges->end(act, engine_.now());
     if (o->metrics != nullptr) {
-      o->metrics->counter(read ? "disk.bytes_read" : "disk.bytes_written")
-          .add(static_cast<double>(size));
+      obs::Counter*& bytes = read ? h.bytesRead : h.bytesWritten;
+      if (bytes == nullptr) {
+        bytes = &o->metrics->counter(read ? "disk.bytes_read"
+                                          : "disk.bytes_written");
+      }
+      bytes->add(static_cast<double>(size));
     }
     if (o->trace != nullptr) {
-      if (obsTrack_ < 0) {
-        obsTrack_ = o->trace->track(obs::TrackKind::Device, params_.name);
+      if (h.track < 0) {
+        h.track = o->trace->track(obs::TrackKind::Device, params_.name);
       }
-      o->trace->span(obs::TrackKind::Device, obsTrack_,
-                     read ? "read" : "write", "disk", start, engine_.now(),
-                     "\"offset\":" + std::to_string(offset) +
-                         ",\"bytes\":" + std::to_string(size));
+      o->trace->span(obs::TrackKind::Device, h.track,
+                     read ? h.read : h.write, h.cat, start, engine_.now(),
+                     obs::TraceArgs().withOffset(offset).withBytes(size));
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -99,8 +100,21 @@ class Disk {
   bool touched_ = false;
   double degradation_ = 1.0;
   FaultPort* fault_ = nullptr;
-  int obsTrack_ = -1;  ///< cached trace track id (lazily registered)
   bool queueWarned_ = false;  ///< saturation warning fired once per disk
+
+  /// What access() records with, resolved once per attached hub.
+  struct ObsHandles {
+    obs::LabelId label = 0;  ///< edge label: the disk's name
+    obs::NameId read = 0;
+    obs::NameId write = 0;
+    obs::NameId cat = 0;
+    int track = -1;  ///< registered at the first completed request
+    obs::Histogram* queueDepth = nullptr;  ///< created at first use
+    obs::Counter* bytesRead = nullptr;
+    obs::Counter* bytesWritten = nullptr;
+  };
+  ObsHandles& obsHandles(obs::Hub& hub);
+  obs::HubCache<ObsHandles> obs_;
 };
 
 }  // namespace iop::storage

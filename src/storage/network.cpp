@@ -25,18 +25,42 @@ LinkParams infiniband20G() {
   return LinkParams{1.9e9, 4.0e-6, 2.0e-6};
 }
 
+namespace {
+
+/// Edge label of transfers src -> dst, interned once per hub and peer
+/// (node ids are dense indices into their Topology).
+obs::LabelId linkLabel(Node::ObsHandles& h, obs::EdgeRecorder& edges,
+                       const Node& src, const Node& dst) {
+  const auto peer = static_cast<std::size_t>(dst.id());
+  if (peer >= h.linkLabels.size()) {
+    h.linkLabels.resize(peer + 1, Node::kUnresolved);
+  }
+  obs::LabelId& label = h.linkLabels[peer];
+  if (label == Node::kUnresolved) {
+    label = edges.label(src.name() + "->" + dst.name());
+  }
+  return label;
+}
+
+}  // namespace
+
 sim::Task<void> transfer(sim::Engine& engine, Node& src, Node& dst,
                          std::uint64_t bytes, std::int64_t cause) {
   std::int64_t act = -1;
   if (obs::Hub* o = engine.obs(); o != nullptr) {
+    Node::ObsHandles& h = src.obsHandles(engine.obsEpoch());
+    const bool loopback = &src == &dst;
     if (o->metrics != nullptr) {
-      o->metrics
-          ->counter(&src == &dst ? "net.loopback_bytes" : "net.bytes")
-          .add(static_cast<double>(bytes));
+      obs::Counter*& counter = loopback ? h.loopbackBytes : h.bytes;
+      if (counter == nullptr) {
+        counter = &o->metrics->counter(loopback ? "net.loopback_bytes"
+                                                : "net.bytes");
+      }
+      counter->add(static_cast<double>(bytes));
     }
-    if (o->edges != nullptr && &src != &dst) {
+    if (o->edges != nullptr && !loopback) {
       act = o->edges->begin(obs::ActKind::Network, -1,
-                            src.name() + "->" + dst.name(), engine.now(),
+                            linkLabel(h, *o->edges, src, dst), engine.now(),
                             bytes, cause);
     }
   }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -65,6 +66,19 @@ class Node {
   void setTenantJob(int job) noexcept { tenantJob_ = job; }
   int tenantJob() const noexcept { return tenantJob_; }
 
+  /// What transfer() records for traffic sent from this node, resolved
+  /// once per attached hub (`epoch` = sim::Engine::obsEpoch()).
+  struct ObsHandles {
+    obs::Counter* bytes = nullptr;          ///< "net.bytes", at first use
+    obs::Counter* loopbackBytes = nullptr;  ///< "net.loopback_bytes"
+    /// Edge label "<this>-><peer>" by peer id; kUnresolved until used.
+    std::vector<obs::LabelId> linkLabels;
+  };
+  static constexpr obs::LabelId kUnresolved = ~obs::LabelId{0};
+  ObsHandles& obsHandles(std::uint64_t epoch) {
+    return obs_.get(epoch, [](ObsHandles&) {});
+  }
+
  private:
   int id_;
   std::string name_;
@@ -74,6 +88,7 @@ class Node {
   double degradation_ = 1.0;
   FaultPort* fault_ = nullptr;
   int tenantJob_ = -1;
+  obs::HubCache<ObsHandles> obs_;
 };
 
 /// Point-to-point transfer of `bytes` from src to dst.  Same-node transfers

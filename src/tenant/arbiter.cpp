@@ -64,10 +64,12 @@ sim::Task<void> WfqArbiter::admit(int job, std::uint64_t bytes, bool isWrite,
   Waiter waiter(engine_, job, start, finish, nextSeq_++, engine_.now());
   obs::Hub* hub = engine_.obs();
   if (hub != nullptr && hub->edges != nullptr) {
-    waiter.obsAct =
-        hub->edges->begin(obs::ActKind::Other, /*rank=*/-1,
-                          "tenant.wait " + server_, engine_.now(), bytes,
-                          cause);
+    const ObsHandles& h =
+        obs_.get(engine_.obsEpoch(), [&](ObsHandles& fresh) {
+          fresh.wait = hub->edges->label("tenant.wait " + server_);
+        });
+    waiter.obsAct = hub->edges->begin(obs::ActKind::Other, /*rank=*/-1,
+                                      h.wait, engine_.now(), bytes, cause);
   }
   queue_.push_back(&waiter);
   co_await waiter.granted.wait();

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/hub.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "storage/server.hpp"
@@ -82,6 +83,11 @@ class WfqArbiter final : public storage::ServerArbiter {
   std::uint64_t immediate_ = 0;
   std::uint64_t queued_ = 0;
   double overlapStart_ = 0;
+
+  struct ObsHandles {
+    obs::LabelId wait = 0;  ///< edge label "tenant.wait <server>"
+  };
+  obs::HubCache<ObsHandles> obs_;
 };
 
 }  // namespace iop::tenant

@@ -171,9 +171,10 @@ struct ContendedRun {
         std::int64_t act = -1;
         if (obs::Hub* hub = engine.obs();
             hub != nullptr && hub->edges != nullptr) {
-          act = hub->edges->begin(obs::ActKind::Other, /*rank=*/-1,
-                                  "tenant.job " + spec.jobs[j].id, start,
-                                  models[j].totalWeightBytes());
+          act = hub->edges->begin(
+              obs::ActKind::Other, /*rank=*/-1,
+              hub->edges->label("tenant.job " + spec.jobs[j].id), start,
+              models[j].totalWeightBytes());
         }
         auto runtime = std::make_unique<mpi::Runtime>(topology, jobOptions[j]);
         runtime->launch(analysis::makeSyntheticApp(

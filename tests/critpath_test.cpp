@@ -29,8 +29,9 @@ namespace {
 
 TEST(EdgeRecorder, RecordsActivitiesLinksAndHorizon) {
   obs::EdgeRecorder rec;
-  const auto a = rec.begin(obs::ActKind::MpiIo, 0, "write", 1.0, 64);
-  const auto b = rec.begin(obs::ActKind::Disk, -1, "disk0", 1.5, 64, a);
+  const auto a = rec.begin(obs::ActKind::MpiIo, 0, rec.label("write"), 1.0, 64);
+  const auto b = rec.begin(
+      obs::ActKind::Disk, -1, rec.label("disk0"), 1.5, 64, a);
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 1);
   EXPECT_FALSE(rec.activities()[0].closed());
@@ -41,7 +42,8 @@ TEST(EdgeRecorder, RecordsActivitiesLinksAndHorizon) {
   EXPECT_EQ(rec.activities()[1].cause, a);
   EXPECT_EQ(rec.activities()[1].bytes, 64u);
 
-  const auto i = rec.instant(obs::ActKind::Collective, 1, "arrive", 2.2, a);
+  const auto i = rec.instant(
+      obs::ActKind::Collective, 1, rec.label("arrive"), 2.2, a);
   EXPECT_TRUE(rec.activities()[static_cast<std::size_t>(i)].closed());
   EXPECT_DOUBLE_EQ(rec.activities()[static_cast<std::size_t>(i)].begin, 2.2);
   EXPECT_DOUBLE_EQ(rec.activities()[static_cast<std::size_t>(i)].end, 2.2);
@@ -64,13 +66,15 @@ TEST(EdgeRecorder, RecordsActivitiesLinksAndHorizon) {
 //   [1.8,2.6];  B: MpiIo rank0 [4,6];  makespan 7.
 obs::EdgeRecorder syntheticGraph() {
   obs::EdgeRecorder rec;
-  const auto a = rec.begin(obs::ActKind::MpiIo, 0, "opA", 1.0, 100);
-  const auto c1 = rec.begin(obs::ActKind::Cache, -1, "cache", 1.2, 100, a);
+  const auto a = rec.begin(obs::ActKind::MpiIo, 0, rec.label("opA"), 1.0, 100);
+  const auto c1 = rec.begin(
+      obs::ActKind::Cache, -1, rec.label("cache"), 1.2, 100, a);
   rec.end(c1, 1.8);
-  const auto c2 = rec.begin(obs::ActKind::Disk, -1, "disk", 1.8, 100, a);
+  const auto c2 = rec.begin(
+      obs::ActKind::Disk, -1, rec.label("disk"), 1.8, 100, a);
   rec.end(c2, 2.6);
   rec.end(a, 3.0);
-  const auto b = rec.begin(obs::ActKind::MpiIo, 0, "opB", 4.0, 100);
+  const auto b = rec.begin(obs::ActKind::MpiIo, 0, rec.label("opB"), 4.0, 100);
   rec.end(b, 6.0);
   return rec;
 }
@@ -106,10 +110,13 @@ TEST(CriticalPath, RendezvousLinkCrossesRanks) {
   // Rank 1's arrival instant precedes rank 0's collective: the path from
   // the collective must step across ranks through the link.
   obs::EdgeRecorder rec;
-  const auto w = rec.begin(obs::ActKind::MpiIo, 1, "slow write", 0.5, 10);
+  const auto w = rec.begin(
+      obs::ActKind::MpiIo, 1, rec.label("slow write"), 0.5, 10);
   rec.end(w, 4.0);
-  const auto arrive = rec.instant(obs::ActKind::Collective, 1, "arrive", 4.0);
-  const auto coll = rec.begin(obs::ActKind::Collective, 0, "barrier", 4.0);
+  const auto arrive = rec.instant(
+      obs::ActKind::Collective, 1, rec.label("arrive"), 4.0);
+  const auto coll = rec.begin(
+      obs::ActKind::Collective, 0, rec.label("barrier"), 4.0);
   rec.link(arrive, coll);
   rec.end(coll, 5.0);
   const auto path = obs::computeCriticalPath(rec, 5.0);

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/profiler.hpp"
+#include "sim/engine.hpp"
 
 namespace iop {
 namespace {
@@ -441,6 +443,32 @@ TEST(ObsRecorder, HostileNamesRoundTripToValidJson) {
   EXPECT_NE(json.find("\\u0001"), std::string::npos);
 }
 
+TEST(ObsColumn, AppendedRecordsStartValueInitialized) {
+  // A new column's blocks may reuse memory a released one wrote; records
+  // appended there must not see it.
+  const std::size_t n = obs::Column<obs::Activity>::kBlock + 3;
+  {
+    obs::Column<obs::Activity> first;
+    for (std::size_t i = 0; i < n; ++i) {
+      obs::Activity& a = first.emplace_back();
+      a.begin = 1.0;
+      a.cause = 7;
+      a.label = 9;
+    }
+  }
+  obs::Column<obs::Activity> second;
+  for (std::size_t i = 0; i < n; ++i) {
+    const obs::Activity& a = second.emplace_back();
+    ASSERT_EQ(a.begin, 0.0);
+    ASSERT_EQ(a.cause, obs::kNoCause);
+    ASSERT_EQ(a.label, 0u);
+  }
+  EXPECT_EQ(second.size(), n);
+  std::size_t visited = 0;
+  for (const auto& a : second) visited += a.closed() ? 0 : 1;
+  EXPECT_EQ(visited, n);
+}
+
 // --- whole-simulation properties ----------------------------------------
 
 struct ObservedRun {
@@ -517,6 +545,83 @@ TEST(ObsIntegration, ObservedRunExportsAllTrackKinds) {
             std::string::npos);
 }
 
+TEST(ObsIntegration, ReattachedSessionNamesEveryTrack) {
+  // Components keep what they resolved against a hub (track ids, label
+  // ids, instrument handles).  A second session attached to the same
+  // cluster must get its own: every (pid, tid) its events use must be
+  // named by a thread_name record in its own JSON.
+  auto cluster = configs::makeConfig(configs::ConfigId::A);
+  apps::BtioParams params;
+  params.mount = cluster.mount;
+  params.cls = apps::BtClass::A;
+  obs::Session first;
+  cluster.engine->setObs(first.hub());
+  analysis::runAndTrace(cluster, "btio", apps::makeBtio(params), 4);
+  obs::Session second;
+  cluster.engine->setObs(second.hub());
+  analysis::runAndTrace(cluster, "btio", apps::makeBtio(params), 4);
+  cluster.engine->setObs(nullptr);
+
+  std::ostringstream json;
+  second.recorder().writeJson(json);
+  // One event per line: split into named (thread_name metadata) and used
+  // (span / instant / counter) tracks.
+  std::set<std::pair<int, int>> named;
+  std::set<std::pair<int, int>> used;
+  std::istringstream lines(json.str());
+  for (std::string line; std::getline(lines, line);) {
+    const auto pid = line.find("\"pid\":");
+    const auto tid = line.find("\"tid\":");
+    if (pid == std::string::npos || tid == std::string::npos) continue;
+    const std::pair<int, int> track{std::stoi(line.substr(pid + 6)),
+                                    std::stoi(line.substr(tid + 6))};
+    if (line.find("\"name\":\"thread_name\"") != std::string::npos) {
+      named.insert(track);
+    } else if (line.find("\"ph\":\"M\"") == std::string::npos) {
+      used.insert(track);
+    }
+  }
+  ASSERT_FALSE(used.empty());
+  for (const auto& [pid, tid] : used) {
+    EXPECT_EQ(named.count({pid, tid}), 1u)
+        << "pid " << pid << " tid " << tid << " has no thread_name";
+  }
+}
+
+sim::Task<void> tickEveryMillisecond(sim::Engine& engine, int ticks) {
+  for (int i = 0; i < ticks; ++i) co_await engine.delay(0.001);
+}
+
+TEST(ObsIntegration, ReattachedSessionCountsDispatchRateFromAttach) {
+  // The engine's "dispatch rate" samples count dispatches since the
+  // previous sample.  A newly attached session must count from its own
+  // attach, not from the previous session's last sample.
+  sim::Engine engine;
+  engine.spawn(tickEveryMillisecond(engine, 1000));
+  obs::Session first;
+  engine.setObs(first.hub());
+  engine.runUntil(0.55);
+  obs::Session second;
+  engine.setObs(second.hub());
+  const std::uint64_t attached = engine.eventsDispatched();
+  engine.run();
+  engine.setObs(nullptr);
+
+  const obs::NameId rate = second.recorder().name("dispatch rate");
+  std::vector<double> samples;
+  for (const auto& ev : second.recorder().events()) {
+    if (ev.phase == obs::EventPhase::Counter && ev.name == rate) {
+      samples.push_back(ev.durUs);
+    }
+  }
+  ASSERT_GT(samples.size(), 1u);
+  EXPECT_EQ(samples.front(), 1.0);
+  double counted = 0;
+  for (double v : samples) counted += v;
+  EXPECT_LE(counted,
+            static_cast<double>(engine.eventsDispatched() - attached));
+}
+
 TEST(ObsProfiler, ScopesFeedReportAndTrace) {
   auto& prof = obs::Profiler::global();
   obs::TraceRecorder rec;
@@ -526,7 +631,7 @@ TEST(ObsProfiler, ScopesFeedReportAndTrace) {
   EXPECT_NE(prof.renderReport().find("obs_test.scope"), std::string::npos);
   bool sawSpan = false;
   for (const auto& ev : rec.events()) {
-    if (ev.name == "obs_test.scope" &&
+    if (rec.nameText(ev.name) == "obs_test.scope" &&
         ev.phase == obs::EventPhase::Complete) {
       sawSpan = true;
     }

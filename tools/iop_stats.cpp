@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   args.addOption("capture-out",
                  "write a run capture (phases + metrics) for iop-diff");
   args.addOption("capture-format",
-                 "capture file format for --capture-out: v1 (text) or v2 "
-                 "(columnar, block-compressed)",
-                 "v1");
+                 "capture file format for --capture-out: v2 (columnar, "
+                 "block-compressed) or v1 (text, for archived captures)",
+                 "v2");
   args.addOption("archive",
                  "archive the run capture into this trend-archive "
                  "directory (see iop-trend)");

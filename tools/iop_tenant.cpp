@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   args.addOption("capture-out",
                  "directory for per-job run captures "
                  "(<dir>/<jobid>.capture)");
-  args.addOption("capture-format", "capture format: v1 | v2", "v1");
+  args.addOption("capture-format", "capture format: v2 | v1", "v2");
   args.addOption("report-out", "also write the report text to this file");
   args.addOption("archive",
                  "archive each job's contended capture into this "
