@@ -307,7 +307,7 @@ ArchiveEntry Archive::append(std::string kind, std::string app,
 ArchiveEntry Archive::addCapture(const RunCapture& capture,
                                  const std::string& label) {
   return append("capture", capture.app, capture.config, capture.np, label,
-                capture.serialize(CaptureFormat::V2), ".capv2");
+                capture.serialize(), ".capv2");
 }
 
 ArchiveEntry Archive::addBench(const std::string& benchJson,

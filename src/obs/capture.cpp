@@ -1,6 +1,5 @@
 #include "obs/capture.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,12 +7,6 @@
 namespace iop::obs {
 
 namespace {
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::runtime_error("capture: " + what);
@@ -34,62 +27,8 @@ std::string keyed(const std::string& line, const std::string& key) {
   return line.substr(key.size() + 1);
 }
 
-}  // namespace
-
-void RunCapture::write(std::ostream& out) const {
-  out << "iop-capture v1\n";
-  out << "app " << app << "\n";
-  out << "np " << np << "\n";
-  out << "config " << config << "\n";
-  out << "makespan " << num(makespan) << "\n";
-  out << "phases " << phases.size() << "\n";
-  for (const auto& p : phases) {
-    out << "phase " << p.id << " " << p.familyId << " " << p.weightBytes
-        << " " << num(p.ioSeconds) << " " << num(p.bandwidth) << " "
-        << p.label << "\n";
-  }
-  std::size_t lines = 0;
-  for (char c : metricsCsv) {
-    if (c == '\n') ++lines;
-  }
-  if (!metricsCsv.empty() && metricsCsv.back() != '\n') ++lines;
-  out << "metrics " << lines << "\n";
-  out << metricsCsv;
-  if (!metricsCsv.empty() && metricsCsv.back() != '\n') out << "\n";
-  out << "end\n";
-}
-
-CaptureFormat parseCaptureFormat(const std::string& name) {
-  if (name == "v1") return CaptureFormat::V1;
-  if (name == "v2") return CaptureFormat::V2;
-  throw std::invalid_argument("unknown capture format '" + name +
-                              "' (expected v1 or v2)");
-}
-
-std::string RunCapture::serialize(CaptureFormat format) const {
-  if (format == CaptureFormat::V2) return detail::encodeCaptureV2(*this);
-  std::ostringstream out;
-  write(out);
-  return out.str();
-}
-
-void RunCapture::save(const std::string& path, CaptureFormat format) const {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) bad("cannot open output " + path);
-  file << serialize(format);
-  if (!file) bad("failed writing " + path);
-}
-
-RunCapture RunCapture::parse(const std::string& bytes) {
-  // Both formats begin with a sniffable "iop-capture vN\n" line.
-  if (bytes.rfind("iop-capture v2\n", 0) == 0) {
-    return detail::decodeCaptureV2(bytes);
-  }
-  std::istringstream in(bytes);
-  return read(in);
-}
-
-RunCapture RunCapture::read(std::istream& in) {
+/// The v1 text reader, for captures written before v2.
+RunCapture readV1(std::istream& in) {
   RunCapture cap;
   if (expectLine(in, "header") != "iop-capture v1") {
     bad("not an iop-capture v1 file");
@@ -121,6 +60,28 @@ RunCapture RunCapture::read(std::istream& in) {
   cap.metricsCsv = std::move(csv);
   if (expectLine(in, "end") != "end") bad("missing end marker");
   return cap;
+}
+
+}  // namespace
+
+std::string RunCapture::serialize(CaptureFormat) const {
+  return detail::encodeCaptureV2(*this);
+}
+
+void RunCapture::save(const std::string& path) const {
+  std::ofstream file(path, std::ios::binary);
+  if (!file) bad("cannot open output " + path);
+  file << serialize();
+  if (!file) bad("failed writing " + path);
+}
+
+RunCapture RunCapture::parse(const std::string& bytes) {
+  // Both formats begin with a sniffable "iop-capture vN\n" line.
+  if (bytes.rfind("iop-capture v2\n", 0) == 0) {
+    return detail::decodeCaptureV2(bytes);
+  }
+  std::istringstream in(bytes);
+  return readV1(in);
 }
 
 RunCapture RunCapture::load(const std::string& path) {

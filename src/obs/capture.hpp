@@ -6,10 +6,15 @@
 // it).  Produced by `iop-stats --capture-out`, consumed by `iop-diff` and
 // archived per-commit by the capture archive (obs/archive.hpp).
 //
-// Two on-disk formats share one first-line version stamp, so load()
-// sniffs and reads either transparently:
+// Captures are written in one format, v2 (columnar binary, self-contained
+// — varint + delta + RLE + label dictionary + front-coded metrics CSV, one
+// FNV-1a64 checksum per block so torn or bit-flipped files are detected,
+// never mis-parsed; see capturev2.cpp for the exact layout).  Doubles
+// travel as raw IEEE-754 bits, so read-back is bit-exact.
 //
-// v1 (line-oriented text, '#'-free, labels last so they may hold spaces):
+// Builds before v2 wrote v1, line-oriented text ('#'-free, labels last so
+// they may hold spaces), and campaign stores and archives still hold such
+// files, so parse()/load() sniff the first line and read either:
 //   iop-capture v1
 //   app <name>
 //   np <n>
@@ -20,16 +25,9 @@
 //   metrics <lineCount>
 //   <raw metrics CSV lines>
 //   end
-//
-// v2 (columnar binary, self-contained — varint + delta + RLE + label
-// dictionary + front-coded metrics CSV, one FNV-1a64 checksum per block
-// so torn or bit-flipped files are detected, never mis-parsed; see
-// capturev2.cpp for the exact layout).  Typically 3-5x smaller than the
-// v1 encoding of the same run and byte-semantics-identical on read-back.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -44,10 +42,9 @@ struct CapturePhase {
   std::string label;      ///< "W"/"R"/"W-R" plus file id
 };
 
-enum class CaptureFormat { V1, V2 };
-
-/// "v1" | "v2" (throws std::invalid_argument).
-CaptureFormat parseCaptureFormat(const std::string& name);
+/// The encoding serialize() writes: v2, the only one.  Kept as the
+/// spelling of serialize()'s argument for callers that name it.
+enum class CaptureFormat { V2 };
 
 struct RunCapture {
   std::string app;
@@ -57,17 +54,14 @@ struct RunCapture {
   std::vector<CapturePhase> phases;
   std::string metricsCsv;  ///< may be empty when metrics were off
 
-  void write(std::ostream& out) const;  ///< v1 text
-  void save(const std::string& path,
-            CaptureFormat format = CaptureFormat::V1) const;
+  /// The v2 encoding of the capture.
+  std::string serialize(CaptureFormat = CaptureFormat::V2) const;
+  void save(const std::string& path) const;  ///< writes serialize()
 
-  /// Serialize to a byte string in the requested format.
-  std::string serialize(CaptureFormat format) const;
-
-  static RunCapture read(std::istream& in);  ///< v1 text only (throws)
-  /// Version-sniffing parse of a whole file's bytes: reads v1 and v2.
+  /// Version-sniffing parse of a whole file's bytes: reads v2 and v1
+  /// (throws std::runtime_error on anything else).
   static RunCapture parse(const std::string& bytes);
-  static RunCapture load(const std::string& path);  ///< sniffs v1/v2
+  static RunCapture load(const std::string& path);  ///< parse() of a file
 };
 
 namespace detail {

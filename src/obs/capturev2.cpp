@@ -22,7 +22,8 @@
 // bit is rejected with a byte-offset diagnostic instead of mis-parsing
 // into a plausible-looking capture.  Doubles travel as raw IEEE-754 bits:
 // read-back is bit-exact, which is what lets iop-diff compare a v1
-// capture against its v2 re-encoding with zero findings.
+// capture (read, never written) against its v2 re-encoding with zero
+// findings.
 #include "obs/capture.hpp"
 
 #include <cstring>
@@ -79,7 +80,7 @@ void appendBlock(std::string& out, char tag, const std::string& payload) {
 }
 
 /// Split text into lines; a trailing fragment without '\n' counts as a
-/// line (mirrors the v1 writer's line accounting).
+/// line (mirrors the v1 format's line accounting).
 std::vector<std::string> splitLines(const std::string& text) {
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -292,8 +293,8 @@ std::string encodeCaptureV2(const RunCapture& cap) {
   std::string metrics;
   const auto lines = splitLines(cap.metricsCsv);
   putVarint(metrics, lines.size());
-  // The v1 writer normalizes a missing trailing newline away; record
-  // whether one was present so v2 round-trips the exact byte string.
+  // v1 text could not hold a missing trailing newline; record whether
+  // one was present so v2 round-trips the exact byte string.
   metrics.push_back(
       !cap.metricsCsv.empty() && cap.metricsCsv.back() != '\n' ? 1 : 0);
   std::string prev;

@@ -121,27 +121,16 @@ class EdgeRecorder {
   /// Record an explicit dependency between two recorded activities.
   void link(std::int64_t pred, std::int64_t succ);
 
-  /// Engine dispatch hook: advances the recorder's time horizon so
-  /// still-open activities can be clamped post-run.
-  void noteDispatch(double at) noexcept {
-    if (at > horizon_) horizon_ = at;
-    ++dispatches_;
-  }
-
   const Column<Activity>& activities() const noexcept {
     return activities_;
   }
   const std::vector<CausalLink>& links() const noexcept { return links_; }
-  double horizon() const noexcept { return horizon_; }
-  std::uint64_t dispatches() const noexcept { return dispatches_; }
   std::size_t size() const noexcept { return activities_.size(); }
 
  private:
   StringTable labels_;
   Column<Activity> activities_;
   std::vector<CausalLink> links_;
-  double horizon_ = 0;
-  std::uint64_t dispatches_ = 0;
 };
 
 }  // namespace iop::obs

@@ -78,9 +78,6 @@ void Engine::observeDispatch() {
     // "dispatch rate" sample counts from it.
     fresh.lastDispatched = dispatched_ - 1;
   });
-  // Edge emission at dispatch: advance the recorder's time horizon so
-  // activities abandoned at teardown can be clamped post-run.
-  if (obs_->edges != nullptr) obs_->edges->noteDispatch(now_);
   if (now_ >= h.nextSample) sampleObs(h);
 }
 

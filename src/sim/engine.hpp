@@ -154,8 +154,7 @@ class Engine {
 
   void dispatchUntil(Time limit, bool bounded);
   void throwIfFailed();
-  /// Cold path: edge horizon + throttled samples; only entered when a hub
-  /// is attached.
+  /// Cold path: throttled samples; only entered when a hub is attached.
   void observeDispatch();
 
   /// What the engine records, resolved once per attached hub (same

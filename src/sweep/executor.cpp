@@ -212,12 +212,19 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
     store.setTelemetry(tele, "store");
   }
 
-  std::optional<SharedStore> shared;
+  std::optional<CellPool> shared;
   if (!options.sharedStore.empty()) {
     shared.emplace(std::filesystem::path(options.sharedStore));
     if (tele != nullptr) {
       shared->setTelemetry(tele, "shared_store");
     }
+  }
+  // Probe order: the campaign's own pool, then the shared one; a forced
+  // run probes neither.
+  std::vector<const CellPool*> pools;
+  if (!options.force) {
+    pools.push_back(&store);
+    if (shared) pools.push_back(&*shared);
   }
 
   SweepOutcome outcome;
@@ -235,71 +242,49 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
   for (std::size_t i = 0; i < plan.size(); ++i) {
     IOP_PROFILE_SCOPE("sweep.probe");
     const CellSpec& cell = plan[i];
-    if (!options.force && store.hasCell(cell.key)) {
+    CellOutcome& out = outcome.cells[i];
+    for (const CellPool* pool : pools) {
+      if (!pool->hasCell(cell.key)) continue;
+      const bool fromShared = pool != &store;
       // tryLoadCell treats a torn/corrupt file as a miss: the bad bytes
-      // move to quarantine/ and the cell drops through to recomputation.
+      // move to the pool's quarantine/ and the probe falls through to the
+      // next pool, then to recomputation.
       std::string whyBad;
-      if (auto loaded = store.tryLoadCell(cell.key, &whyBad)) {
-        outcome.cells[i].status = CellOutcome::Status::Cached;
-        outcome.cells[i].result = std::move(*loaded);
-        // A torn capture iop-fsck quarantined leaves the cell intact but
-        // capture-less; captures are a pure function of the result, so
-        // regenerate in place and the store converges back to the bytes
-        // an uninterrupted run would have written.
-        if (options.writeCaptures &&
-            !std::filesystem::exists(store.capturePath(cell.key))) {
-          store.saveCapture(cell.key,
-                            makeCellCapture(outcome.cells[i].result));
-        }
-        ++outcome.cacheHits;
-        sharedLog.info("cache_hit", cellFields(campaign, cell));
-        if (tele != nullptr) {
-          tele->cacheHit(campaign.cellTitle(cell), cell.key,
-                         /*shared=*/false);
-        }
-        continue;
-      }
-      ++outcome.quarantined;
-      sharedLog.warn("cell_quarantined",
-                     cellFields(campaign, cell) + ",\"error\":\"" +
-                         obs::TraceRecorder::jsonEscape(whyBad) + "\"");
-      if (tele != nullptr) {
-        tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
-                              /*shared=*/false);
-      }
-    }
-    if (!options.force && shared && shared->hasCell(cell.key)) {
-      // Adopt the shared result into the campaign store: cell bytes are a
-      // pure function of the key, so render() reproduces them exactly, and
-      // the regenerated capture matches what a local evaluation would have
-      // committed.
-      std::string whyBad;
-      if (auto loaded = shared->tryLoadCell(cell.key, &whyBad)) {
-        CellOutcome& out = outcome.cells[i];
+      if (auto loaded = pool->tryLoadCell(cell.key, &whyBad)) {
         out.status = CellOutcome::Status::Cached;
         out.result = std::move(*loaded);
-        store.saveCell(out.result);
-        if (options.writeCaptures) {
+        // A shared hit is adopted: cell bytes are a pure function of the
+        // key, so render() reproduces them exactly.  Captures are a pure
+        // function of the result, so one is written for an adopted cell,
+        // and regenerated in place for an own cell whose torn capture
+        // iop-fsck quarantined — either way the store converges on the
+        // bytes an uninterrupted local run would have written.
+        if (fromShared) store.saveCell(out.result);
+        if (options.writeCaptures &&
+            (fromShared ||
+             !std::filesystem::exists(store.capturePath(cell.key)))) {
           store.saveCapture(cell.key, makeCellCapture(out.result));
         }
         ++outcome.cacheHits;
-        ++outcome.sharedHits;
-        sharedLog.info("shared_hit", cellFields(campaign, cell));
+        if (fromShared) ++outcome.sharedHits;
+        sharedLog.info(fromShared ? "shared_hit" : "cache_hit",
+                       cellFields(campaign, cell));
         if (tele != nullptr) {
-          tele->cacheHit(campaign.cellTitle(cell), cell.key,
-                         /*shared=*/true);
+          tele->cacheHit(campaign.cellTitle(cell), cell.key, fromShared);
         }
-        continue;
+        break;
       }
       ++outcome.quarantined;
-      sharedLog.warn("shared_cell_quarantined",
-                     cellFields(campaign, cell) + ",\"error\":\"" +
-                         obs::TraceRecorder::jsonEscape(whyBad) + "\"");
+      sharedLog.warn(
+          fromShared ? "shared_cell_quarantined" : "cell_quarantined",
+          cellFields(campaign, cell) + ",\"error\":\"" +
+              obs::TraceRecorder::jsonEscape(whyBad) + "\"");
       if (tele != nullptr) {
         tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
-                              /*shared=*/true);
+                              fromShared);
       }
     }
+    if (out.status == CellOutcome::Status::Cached) continue;
     auto [it, inserted] = owners.emplace(cell.key, i);
     if (inserted) {
       pending.push_back(i);

@@ -32,10 +32,10 @@ struct SweepOptions {
   bool force = false;        ///< recompute cached cells (and replace a
                              ///< mismatched store)
   bool writeCaptures = true; ///< also commit iop-diff'able captures
-  /// Optional campaign-independent shared cache directory (SharedStore):
-  /// probed after the campaign store on a miss — a hit is adopted into the
-  /// campaign store — and every computed cell is deposited back.  Empty
-  /// disables sharing.
+  /// Optional campaign-independent shared cache directory (a bare
+  /// CellPool): probed after the campaign store on a miss — a hit is
+  /// adopted into the campaign store — and every computed cell is
+  /// deposited back.  Empty disables sharing.
   std::string sharedStore;
   /// Cooperative cancellation (SIGINT/SIGTERM in iop-sweep): when the
   /// pointee becomes true, workers stop taking new cells after finishing

@@ -68,41 +68,6 @@ std::string readFileText(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-/// Load a cell file, treating any defect — unreadable, unparsable, failed
-/// checksum, wrong key — as a cache miss: the bad file is moved into
-/// `quarantineDir` (kept for forensics, never silently deleted) and
-/// std::nullopt tells the caller to recompute.  A cell result is a pure
-/// function of its key, so recomputation always repairs the store.
-std::optional<CellResult> tryLoadCellFile(
-    const std::filesystem::path& path,
-    const std::filesystem::path& quarantineDir, const std::string& key,
-    std::string* whyBad) {
-  try {
-    auto cell = CellResult::parse(readFileText(path));
-    if (cell.key != key) {
-      badCell("holds key " + cell.key + ", expected " + key);
-    }
-    return cell;
-  } catch (const std::exception& e) {
-    if (whyBad != nullptr) *whyBad = e.what();
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(quarantineDir, ec);
-  std::filesystem::path dst = quarantineDir / path.filename();
-  for (int n = 2; std::filesystem::exists(dst); ++n) {
-    dst = quarantineDir /
-          (path.stem().string() + "." + std::to_string(n) +
-           path.extension().string());
-  }
-  std::filesystem::rename(path, dst, ec);
-  if (ec) {
-    // Rename can fail (e.g. cross-device); removing still unblocks the
-    // recompute, losing only the forensic copy.
-    std::filesystem::remove(path, ec);
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::string CellResult::render() const {
@@ -289,72 +254,58 @@ obs::RunCapture makeCellCapture(const CellResult& cell) {
   return capture;
 }
 
-CampaignStore::CampaignStore(std::filesystem::path root)
-    : root_(std::move(root)) {}
+CellPool::CellPool(std::filesystem::path root) : root_(std::move(root)) {}
 
-std::filesystem::path CampaignStore::cellPath(const std::string& key) const {
+std::filesystem::path CellPool::cellPath(const std::string& key) const {
   return root_ / "cells" / (key + ".cell");
 }
 
-std::filesystem::path CampaignStore::capturePath(
-    const std::string& key) const {
-  return root_ / "captures" / (key + ".cap");
-}
+std::filesystem::path CellPool::modelDir() const { return root_ / "models"; }
 
-std::filesystem::path CampaignStore::manifestPath() const {
-  return root_ / "MANIFEST.txt";
-}
-
-CampaignStore::InitResult CampaignStore::initialize(
-    const std::string& canonicalText, bool replaceOnMismatch) {
-  const auto campaignFile = root_ / "campaign.txt";
-  InitResult result = InitResult::Created;
-  if (std::filesystem::exists(campaignFile)) {
-    if (readFileText(campaignFile) == canonicalText) {
-      result = InitResult::Matched;
-    } else if (replaceOnMismatch) {
-      std::filesystem::remove_all(root_ / "cells");
-      std::filesystem::remove_all(root_ / "captures");
-      std::filesystem::remove(manifestPath());
-      result = InitResult::Replaced;
-    } else {
-      throw std::runtime_error(
-          "store " + root_.string() +
-          " holds a different campaign; use --force to replace it or "
-          "choose another --store directory");
-    }
-  }
-  std::filesystem::create_directories(root_ / "cells");
-  std::filesystem::create_directories(root_ / "captures");
-  if (result != InitResult::Matched) {
-    writeFileAtomically(campaignFile, canonicalText);
-  }
-  return result;
-}
-
-bool CampaignStore::hasCell(const std::string& key) const {
+bool CellPool::hasCell(const std::string& key) const {
   return std::filesystem::exists(cellPath(key));
 }
 
-CellResult CampaignStore::loadCell(const std::string& key) const {
-  auto cell = CellResult::parse(readFileText(cellPath(key)));
-  if (cell.key != key) {
-    throw std::runtime_error("cell " + key + " holds key " + cell.key);
+/// Any defect — unreadable, unparsable, failed checksum, wrong key — is a
+/// cache miss: the bad file is moved into quarantine/ (kept for
+/// forensics, never silently deleted) and std::nullopt tells the caller
+/// to recompute.  A cell result is a pure function of its key, so
+/// recomputation always repairs the pool.
+std::optional<CellResult> CellPool::tryLoadCell(const std::string& key,
+                                                std::string* whyBad) const {
+  const std::filesystem::path path = cellPath(key);
+  std::optional<CellResult> loaded;
+  try {
+    loaded = CellResult::parse(readFileText(path));
+    if (loaded->key != key) {
+      badCell("holds key " + loaded->key + ", expected " + key);
+    }
+  } catch (const std::exception& e) {
+    loaded.reset();
+    if (whyBad != nullptr) *whyBad = e.what();
+    const std::filesystem::path quarantine = root_ / "quarantine";
+    std::error_code ec;
+    std::filesystem::create_directories(quarantine, ec);
+    std::filesystem::path dst = quarantine / path.filename();
+    for (int n = 2; std::filesystem::exists(dst); ++n) {
+      dst = quarantine / (path.stem().string() + "." + std::to_string(n) +
+                          path.extension().string());
+    }
+    std::filesystem::rename(path, dst, ec);
+    if (ec) {
+      // Rename can fail (e.g. cross-device); removing still unblocks the
+      // recompute, losing only the forensic copy.
+      std::filesystem::remove(path, ec);
+    }
   }
-  return cell;
-}
-
-std::optional<CellResult> CampaignStore::tryLoadCell(
-    const std::string& key, std::string* whyBad) const {
-  auto loaded =
-      tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
   if (telemetry_ != nullptr) {
     telemetry_->storeLoad(metricsPrefix_, loaded.has_value());
   }
   return loaded;
 }
 
-void CampaignStore::saveCell(const CellResult& cell) const {
+void CellPool::saveCell(const CellResult& cell) const {
+  std::filesystem::create_directories(root_ / "cells");
   const std::string text = cell.render();
   writeFileAtomically(cellPath(cell.key), text);
   if (telemetry_ != nullptr) {
@@ -362,18 +313,51 @@ void CampaignStore::saveCell(const CellResult& cell) const {
   }
 }
 
-void CampaignStore::saveCapture(const std::string& key,
-                                const obs::RunCapture& capture) const {
-  std::ostringstream out;
-  capture.write(out);
-  writeFileAtomically(capturePath(key), out.str());
-  if (telemetry_ != nullptr) telemetry_->storeCaptureCommit(metricsPrefix_);
-}
-
-void CampaignStore::setTelemetry(SweepTelemetry* telemetry,
-                                 std::string prefix) {
+void CellPool::setTelemetry(SweepTelemetry* telemetry, std::string prefix) {
   telemetry_ = telemetry;
   metricsPrefix_ = std::move(prefix);
+}
+
+std::filesystem::path CampaignStore::capturePath(
+    const std::string& key) const {
+  return root() / "captures" / (key + ".cap");
+}
+
+std::filesystem::path CampaignStore::manifestPath() const {
+  return root() / "MANIFEST.txt";
+}
+
+CampaignStore::InitResult CampaignStore::initialize(
+    const std::string& canonicalText, bool replaceOnMismatch) {
+  const auto campaignFile = root() / "campaign.txt";
+  InitResult result = InitResult::Created;
+  if (std::filesystem::exists(campaignFile)) {
+    if (readFileText(campaignFile) == canonicalText) {
+      result = InitResult::Matched;
+    } else if (replaceOnMismatch) {
+      std::filesystem::remove_all(root() / "cells");
+      std::filesystem::remove_all(root() / "captures");
+      std::filesystem::remove(manifestPath());
+      result = InitResult::Replaced;
+    } else {
+      throw std::runtime_error(
+          "store " + root().string() +
+          " holds a different campaign; use --force to replace it or "
+          "choose another --store directory");
+    }
+  }
+  std::filesystem::create_directories(root() / "cells");
+  std::filesystem::create_directories(root() / "captures");
+  if (result != InitResult::Matched) {
+    writeFileAtomically(campaignFile, canonicalText);
+  }
+  return result;
+}
+
+void CampaignStore::saveCapture(const std::string& key,
+                                const obs::RunCapture& capture) const {
+  writeFileAtomically(capturePath(key), capture.serialize());
+  if (telemetry_ != nullptr) telemetry_->storeCaptureCommit(metricsPrefix_);
 }
 
 void CampaignStore::writeManifest(const ResolvedCampaign& campaign,
@@ -395,7 +379,7 @@ void CampaignStore::writeManifest(const ResolvedCampaign& campaign,
 std::size_t CampaignStore::gc(const std::set<std::string>& liveKeys) const {
   std::size_t removed = 0;
   for (const char* sub : {"cells", "captures"}) {
-    const auto dir = root_ / sub;
+    const auto dir = root() / sub;
     if (!std::filesystem::exists(dir)) continue;
     std::vector<std::filesystem::path> dead;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -409,55 +393,6 @@ std::size_t CampaignStore::gc(const std::set<std::string>& liveKeys) const {
     }
   }
   return removed;
-}
-
-SharedStore::SharedStore(std::filesystem::path root)
-    : root_(std::move(root)) {}
-
-std::filesystem::path SharedStore::cellPath(const std::string& key) const {
-  return root_ / "cells" / (key + ".cell");
-}
-
-std::filesystem::path SharedStore::modelDir() const {
-  return root_ / "models";
-}
-
-bool SharedStore::hasCell(const std::string& key) const {
-  return std::filesystem::exists(cellPath(key));
-}
-
-CellResult SharedStore::loadCell(const std::string& key) const {
-  auto cell = CellResult::parse(readFileText(cellPath(key)));
-  if (cell.key != key) {
-    throw std::runtime_error("shared cell " + key + " holds key " +
-                             cell.key);
-  }
-  return cell;
-}
-
-std::optional<CellResult> SharedStore::tryLoadCell(
-    const std::string& key, std::string* whyBad) const {
-  auto loaded =
-      tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
-  if (telemetry_ != nullptr) {
-    telemetry_->storeLoad(metricsPrefix_, loaded.has_value());
-  }
-  return loaded;
-}
-
-void SharedStore::saveCell(const CellResult& cell) const {
-  std::filesystem::create_directories(root_ / "cells");
-  const std::string text = cell.render();
-  writeFileAtomically(cellPath(cell.key), text);
-  if (telemetry_ != nullptr) {
-    telemetry_->storeCommit(metricsPrefix_, text.size());
-  }
-}
-
-void SharedStore::setTelemetry(SweepTelemetry* telemetry,
-                               std::string prefix) {
-  telemetry_ = telemetry;
-  metricsPrefix_ = std::move(prefix);
 }
 
 }  // namespace iop::sweep

@@ -1,14 +1,22 @@
-// On-disk campaign store: the content-addressed result cache that makes
+// On-disk result stores: the content-addressed cell cache that makes
 // sweeps resumable and re-runs free.
 //
-// Layout under the store directory:
+// A CellPool owns what every store shares, under its root:
+//   cells/<key>.cell    one committed cell result ("iop-cell v1" text,
+//                       key-checked on load)
+//   models/<key>.model  characterization models keyed by modelCacheKey()
+//   quarantine/         cell files that failed their checksum, parse or
+//                       key check on load, moved aside (not deleted) and
+//                       recomputed
+// A bare pool is the campaign-independent shared store (iop-sweep
+// --shared-store).  A CampaignStore is a pool bound to one campaign and
+// adds:
 //   campaign.txt        canonical campaign text (identity of the store)
-//   cells/<key>.cell    one committed cell result ("iop-cell v1" text)
-//   captures/<key>.cap  the cell's diffable run capture (iop-capture v1)
+//   captures/<key>.cap  the cell's diffable run capture (iop-capture v2;
+//                       stores written by older builds hold v1 text,
+//                       which still reads)
 //   MANIFEST.txt        the grid in canonical cell order, written serially
 //                       after every run — byte-identical for any -j
-//   quarantine/         cell files that failed their checksum or parse on
-//                       load, moved aside (not deleted) and recomputed
 //
 // Cell files are written atomically (temp + rename) with fully
 // deterministic contents, so a store produced by N workers is
@@ -106,19 +114,13 @@ obs::RunCapture makeCellCapture(const CellResult& cell);
 /// util/fsatomic.hpp so the obs capture archive shares it).
 using util::writeFileAtomically;
 
-/// Campaign-independent shared result cache: a flat content-addressed
-/// pool of cells (and characterization models) that overlapping campaigns
-/// can reuse.  Unlike CampaignStore it is bound to no campaign.txt — a
-/// cell's key already captures everything that determines its result, so
-/// any campaign may deposit into or draw from the pool.
-///
-/// Layout under the shared root:
-///   cells/<key>.cell    committed cell results, same format as the
-///                       campaign store (key-checked on load)
-///   models/<key>.model  characterization models keyed by modelCacheKey()
-class SharedStore {
+/// A content-addressed pool of committed cells (and characterization
+/// models) under one root; see the layout above.  A cell's key already
+/// captures everything that determines its result, so any campaign may
+/// deposit into or draw from any pool.
+class CellPool {
  public:
-  explicit SharedStore(std::filesystem::path root);
+  explicit CellPool(std::filesystem::path root);
 
   const std::filesystem::path& root() const noexcept { return root_; }
   std::filesystem::path cellPath(const std::string& key) const;
@@ -126,26 +128,32 @@ class SharedStore {
   std::filesystem::path modelDir() const;
 
   bool hasCell(const std::string& key) const;
-  CellResult loadCell(const std::string& key) const;
-  /// loadCell that treats corruption as a miss: a cell that fails to
+  /// Load a cell, treating corruption as a miss: a cell that fails to
   /// parse, checksum or key-check is moved to quarantine/ (for forensics)
   /// and std::nullopt is returned so the caller recomputes it.
   std::optional<CellResult> tryLoadCell(const std::string& key,
                                         std::string* whyBad = nullptr) const;
-  /// Atomic, race-safe commit (directories created on first write).
+  /// Atomic (temp + rename), race-safe commit; contents depend only on
+  /// `cell`.  Directories are created on first write.
   void saveCell(const CellResult& cell) const;
 
   /// Count store operations (commits, bytes, loads, quarantines) through
   /// `telemetry` under `<prefix>.`.  Observation-only; null disables.
   void setTelemetry(SweepTelemetry* telemetry, std::string prefix);
 
- private:
-  std::filesystem::path root_;
+ protected:
   SweepTelemetry* telemetry_ = nullptr;
   std::string metricsPrefix_;
+
+ private:
+  std::filesystem::path root_;
 };
 
-class CampaignStore {
+/// The campaign-independent shared store is a bare pool.
+using SharedStore = CellPool;
+
+/// A pool bound to one campaign, plus its captures and manifest.
+class CampaignStore : public CellPool {
  public:
   enum class InitResult {
     Created,   ///< fresh store directory
@@ -153,7 +161,7 @@ class CampaignStore {
     Replaced,  ///< existing store, different campaign: wiped (force)
   };
 
-  explicit CampaignStore(std::filesystem::path root);
+  using CellPool::CellPool;
 
   /// Bind the store to a campaign.  An existing store whose campaign.txt
   /// differs from `canonicalText` throws unless `replaceOnMismatch`, in
@@ -161,20 +169,10 @@ class CampaignStore {
   InitResult initialize(const std::string& canonicalText,
                         bool replaceOnMismatch = false);
 
-  const std::filesystem::path& root() const noexcept { return root_; }
-  std::filesystem::path cellPath(const std::string& key) const;
   std::filesystem::path capturePath(const std::string& key) const;
   std::filesystem::path manifestPath() const;
 
-  bool hasCell(const std::string& key) const;
-  CellResult loadCell(const std::string& key) const;
-  /// Corruption-tolerant load: quarantines bad cells (see
-  /// SharedStore::tryLoadCell) and returns std::nullopt.
-  std::optional<CellResult> tryLoadCell(const std::string& key,
-                                        std::string* whyBad = nullptr) const;
-
-  /// Atomic (temp + rename) commit; contents depend only on `cell`.
-  void saveCell(const CellResult& cell) const;
+  /// Atomic commit of the cell's capture, in the v2 encoding.
   void saveCapture(const std::string& key,
                    const obs::RunCapture& capture) const;
 
@@ -186,15 +184,6 @@ class CampaignStore {
   /// Drop cell/capture files whose key is not in `liveKeys`; returns the
   /// number of files removed.
   std::size_t gc(const std::set<std::string>& liveKeys) const;
-
-  /// Count store operations (commits, bytes, loads, quarantines) through
-  /// `telemetry` under `<prefix>.`.  Observation-only; null disables.
-  void setTelemetry(SweepTelemetry* telemetry, std::string prefix);
-
- private:
-  std::filesystem::path root_;
-  SweepTelemetry* telemetry_ = nullptr;
-  std::string metricsPrefix_;
 };
 
 }  // namespace iop::sweep

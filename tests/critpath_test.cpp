@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "analysis/blame.hpp"
@@ -21,6 +20,8 @@
 #include "obs/edges.hpp"
 #include "obs/hub.hpp"
 #include "obs/log.hpp"
+
+#include "capture_fixture.hpp"
 
 namespace iop {
 namespace {
@@ -52,11 +53,6 @@ TEST(EdgeRecorder, RecordsActivitiesLinksAndHorizon) {
   ASSERT_EQ(rec.links().size(), 1u);
   EXPECT_EQ(rec.links()[0].pred, i);
   EXPECT_EQ(rec.links()[0].succ, a);
-
-  rec.noteDispatch(3.5);
-  rec.noteDispatch(3.0);
-  EXPECT_DOUBLE_EQ(rec.horizon(), 3.5);
-  EXPECT_EQ(rec.dispatches(), 2u);
 }
 
 // --- critical path on a hand-built graph --------------------------------
@@ -213,32 +209,11 @@ TEST(BlameAcceptance, MadbenchDecomposesMakespan) {
 
 // --- run captures -------------------------------------------------------
 
-obs::RunCapture sampleCapture() {
-  obs::RunCapture cap;
-  cap.app = "btio";
-  cap.np = 4;
-  cap.config = "Configuration A";
-  cap.makespan = 31.25;
-  obs::CapturePhase p;
-  p.id = 1;
-  p.familyId = 2;
-  p.weightBytes = 1048576;
-  p.ioSeconds = 0.5;
-  p.bandwidth = 2097152;
-  p.label = "W f1 with \"quotes\" and spaces";
-  cap.phases.push_back(p);
-  cap.metricsCsv =
-      "disk.queue_depth,histogram,le_1,3\n"
-      "disk.queue_depth,histogram,le_inf,1\n";
-  return cap;
-}
+using fixture::sampleCapture;
 
 TEST(RunCapture, RoundTripsThroughStreamExactly) {
   const auto cap = sampleCapture();
-  std::ostringstream out;
-  cap.write(out);
-  std::istringstream in(out.str());
-  const auto back = obs::RunCapture::read(in);
+  const auto back = obs::RunCapture::parse(fixture::kSampleCaptureV1);
   EXPECT_EQ(back.app, cap.app);
   EXPECT_EQ(back.np, cap.np);
   EXPECT_EQ(back.config, cap.config);
@@ -251,8 +226,8 @@ TEST(RunCapture, RoundTripsThroughStreamExactly) {
 }
 
 TEST(RunCapture, RejectsForeignFiles) {
-  std::istringstream in("not a capture\n");
-  EXPECT_THROW(obs::RunCapture::read(in), std::runtime_error);
+  EXPECT_THROW(obs::RunCapture::parse("not a capture\n"),
+               std::runtime_error);
 }
 
 // --- diff engine --------------------------------------------------------

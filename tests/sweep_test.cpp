@@ -15,12 +15,15 @@
 
 #include "obs/journal.hpp"
 #include "sweep/campaign.hpp"
+#include "sweep/fsck.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/hash.hpp"
 #include "sweep/postmortem.hpp"
 #include "sweep/rank.hpp"
 #include "sweep/store.hpp"
 #include "sweep/telemetry.hpp"
+
+#include "capture_fixture.hpp"
 
 namespace {
 
@@ -357,6 +360,69 @@ TEST(SweepStore, GcDropsOrphanedCells) {
   EXPECT_EQ(store.gc(live), 0u);  // idempotent
 }
 
+/// The bytes of one file.
+std::string readBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(SweepStore, CommitsCapturesInTheV2Encoding) {
+  const auto campaign = resolveTestCampaign(
+      "name captures-v2\napp example\nconfig A\nconfig B\n");
+  TempDir dir("captures_v2");
+  sweep::CampaignStore store(dir.path());
+  const auto outcome = sweep::runSweep(campaign, store, {});
+  ASSERT_EQ(outcome.computed, 2u);
+  for (const auto& cell : outcome.cells) {
+    const std::string bytes = readBytes(store.capturePath(cell.spec.key));
+    EXPECT_EQ(bytes.rfind("iop-capture v2\n", 0), 0u) << cell.spec.key;
+    const auto expected = sweep::makeCellCapture(cell.result);
+    const auto back = obs::RunCapture::parse(bytes);
+    EXPECT_EQ(back.app, expected.app);
+    EXPECT_EQ(back.np, expected.np);
+    EXPECT_EQ(back.config, expected.config);
+    EXPECT_EQ(back.makespan, expected.makespan);
+    ASSERT_EQ(back.phases.size(), expected.phases.size());
+    for (std::size_t i = 0; i < back.phases.size(); ++i) {
+      EXPECT_EQ(back.phases[i].id, expected.phases[i].id);
+      EXPECT_EQ(back.phases[i].familyId, expected.phases[i].familyId);
+      EXPECT_EQ(back.phases[i].weightBytes, expected.phases[i].weightBytes);
+      EXPECT_EQ(back.phases[i].ioSeconds, expected.phases[i].ioSeconds);
+      EXPECT_EQ(back.phases[i].bandwidth, expected.phases[i].bandwidth);
+      EXPECT_EQ(back.phases[i].label, expected.phases[i].label);
+    }
+    EXPECT_EQ(back.metricsCsv, expected.metricsCsv);
+  }
+}
+
+TEST(SweepStore, OlderStoresWithV1CapturesStayValid) {
+  const auto campaign = resolveTestCampaign(
+      "name captures-v1\napp example\nconfig A\nconfig B\n");
+  TempDir dir("captures_v1");
+  sweep::CampaignStore store(dir.path());
+  sweep::runSweep(campaign, store, {});
+  // A store written by an older build: its captures are v1 text.
+  const auto key = campaign.planCells().front().key;
+  std::ofstream(store.capturePath(key), std::ios::binary)
+      << fixture::kSampleCaptureV1;
+  const auto before = snapshotTree(dir.path());
+
+  sweep::FsckOptions deep;
+  deep.deep = true;
+  deep.expectedCampaign = campaign.spec.canonicalText();
+  const auto report = sweep::fsckCampaignStore(dir.path(), deep);
+  EXPECT_TRUE(report.clean()) << report.render("v1 store");
+
+  // A resume reuses every cell and leaves the v1 capture as it is.
+  const auto resumed = sweep::runSweep(campaign, store, {});
+  EXPECT_EQ(resumed.cacheHits, 2u);
+  EXPECT_EQ(resumed.quarantined, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir.path() / "quarantine"));
+  EXPECT_EQ(snapshotTree(dir.path()), before);
+}
+
 TEST(SweepRank, OrdersByTimeIoAndMarksSelection) {
   const auto campaign = resolveTestCampaign();
   TempDir dir("rank");
@@ -516,7 +582,9 @@ TEST(SweepExecutor, SharedStoreReusesAcrossCampaigns) {
   sweep::SharedStore pool(shared.path());
   for (const auto& cell : second.planCells()) {
     ASSERT_TRUE(pool.hasCell(cell.key));
-    EXPECT_EQ(pool.loadCell(cell.key).key, cell.key);
+    const auto loaded = pool.tryLoadCell(cell.key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->key, cell.key);
   }
 }
 

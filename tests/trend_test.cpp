@@ -19,6 +19,8 @@
 #include "obs/diff.hpp"
 #include "obs/trend.hpp"
 
+#include "capture_fixture.hpp"
+
 namespace {
 
 using namespace iop;
@@ -132,12 +134,12 @@ TEST(CaptureV2, EmptyCaptureRoundTrips) {
 }
 
 TEST(CaptureV2, ParseSniffsBothFormats) {
-  const auto cap = realisticCapture();
-  const std::string v1 = cap.serialize(obs::CaptureFormat::V1);
+  // v1 is read, never written: the literal text stands in for a capture
+  // an older build left in a store or archive.
+  const std::string v1 = fixture::kSampleCaptureV1;
   EXPECT_EQ(v1.rfind("iop-capture v1\n", 0), 0u);
-  // v1's text encoding rounds doubles, so compare the v2 re-encoding of
-  // what v1 actually preserved — v2 itself is bit-exact.
   const auto fromV1 = obs::RunCapture::parse(v1);
+  expectSameCapture(fixture::sampleCapture(), fromV1);
   const std::string v2 = fromV1.serialize(obs::CaptureFormat::V2);
   EXPECT_EQ(v2.rfind("iop-capture v2\n", 0), 0u);
   expectSameCapture(fromV1, obs::RunCapture::parse(v2));
@@ -145,30 +147,21 @@ TEST(CaptureV2, ParseSniffsBothFormats) {
 
 TEST(CaptureV2, LoadSniffsSavedFiles) {
   TempDir dir("sniff");
-  const auto cap = realisticCapture();
   const std::string v1Path = (dir.path() / "a.cap").string();
   const std::string v2Path = (dir.path() / "a.capv2").string();
-  cap.save(v1Path, obs::CaptureFormat::V1);
+  std::ofstream(v1Path, std::ios::binary) << fixture::kSampleCaptureV1;
   const auto fromV1 = obs::RunCapture::load(v1Path);
-  fromV1.save(v2Path, obs::CaptureFormat::V2);
+  fromV1.save(v2Path);
   expectSameCapture(fromV1, obs::RunCapture::load(v2Path));
 }
 
 TEST(CaptureV2, DiffSeesV1AndV2EncodingsAsIdentical) {
-  const auto cap = realisticCapture();
-  const auto v2 =
-      obs::RunCapture::parse(cap.serialize(obs::CaptureFormat::V2));
-  const auto result = obs::diffCaptures(cap, v2);
+  const auto v1 = obs::RunCapture::parse(fixture::kSampleCaptureV1);
+  const auto v2 = obs::RunCapture::parse(
+      fixture::sampleCapture().serialize(obs::CaptureFormat::V2));
+  const auto result = obs::diffCaptures(v1, v2);
   EXPECT_EQ(result.regressions(), 0u);
   EXPECT_EQ(result.findings(), 0u);
-}
-
-TEST(CaptureV2, CompressesBelowFortyPercentOfV1) {
-  const auto cap = realisticCapture();
-  const std::size_t v1 = cap.serialize(obs::CaptureFormat::V1).size();
-  const std::size_t v2 = cap.serialize(obs::CaptureFormat::V2).size();
-  EXPECT_LE(v2 * 100, v1 * 40)
-      << "v2 is " << v2 << " bytes, v1 is " << v1 << " bytes";
 }
 
 TEST(CaptureV2, EncodingIsDeterministic) {
@@ -213,12 +206,6 @@ TEST(CaptureV2, EveryBitFlipIsDetectedOrHarmless) {
       }
     }
   }
-}
-
-TEST(CaptureV2, FormatNamesParse) {
-  EXPECT_EQ(obs::parseCaptureFormat("v1"), obs::CaptureFormat::V1);
-  EXPECT_EQ(obs::parseCaptureFormat("v2"), obs::CaptureFormat::V2);
-  EXPECT_THROW(obs::parseCaptureFormat("v3"), std::invalid_argument);
 }
 
 // --- archive ------------------------------------------------------------

@@ -41,10 +41,6 @@ int main(int argc, char** argv) {
                "derived from the dependency edges");
   args.addOption("capture-out",
                  "write a run capture (phases + metrics) for iop-diff");
-  args.addOption("capture-format",
-                 "capture file format for --capture-out: v2 (columnar, "
-                 "block-compressed) or v1 (text, for archived captures)",
-                 "v2");
   args.addOption("archive",
                  "archive the run capture into this trend-archive "
                  "directory (see iop-trend)");
@@ -184,8 +180,7 @@ int main(int argc, char** argv) {
       }
       cap.metricsCsv = session.metrics().renderCsv();
       if (args.has("capture-out")) {
-        cap.save(args.get("capture-out"),
-                 obs::parseCaptureFormat(args.get("capture-format")));
+        cap.save(args.get("capture-out"));
         session.log().info(
             "tool", "wrote_capture",
             "\"path\":\"" +

@@ -105,16 +105,6 @@ int parseJobs(const util::Args& args) {
   return jobs;
 }
 
-/// The shared cache directory: --shared-store, falling back to the
-/// IOP_SWEEP_STORE environment variable.  Empty means no sharing.
-std::string sharedStorePath(const util::Args& args) {
-  std::string path = args.getOr("shared-store", "");
-  if (path.empty()) {
-    if (const char* env = std::getenv("IOP_SWEEP_STORE")) path = env;
-  }
-  return path;
-}
-
 int parseTelemetryInterval(const util::Args& args) {
   const std::string text = args.getOr("telemetry-interval-ms", "500");
   std::size_t used = 0;
@@ -156,36 +146,46 @@ sweep::TelemetryConfig telemetryConfig(const util::Args& args,
   return config;
 }
 
-/// Load + resolve the campaign named by --campaign (characterizing any
-/// `app` entries across `jobs` workers, reusing cached models from the
-/// campaign and shared stores) and bind the store.
-struct LoadedCampaign {
-  sweep::ResolvedCampaign campaign;
+/// What `run`, `report` and `gc` work on: the campaign named by
+/// --campaign, its store (--store) and the shared pool (--shared-store,
+/// falling back to the IOP_SWEEP_STORE environment variable; absent
+/// means no sharing).
+struct CampaignTarget {
+  sweep::CampaignSpec spec;
   sweep::CampaignStore store;
-  std::string sharedStore;  ///< empty: no shared cache
+  std::optional<sweep::CellPool> shared;
+
+  /// Resolve the campaign, characterizing any `app` entries across `jobs`
+  /// workers and reusing cached models from both pools.
+  sweep::ResolvedCampaign resolve(int jobs, obs::Logger& log,
+                                  sweep::SweepTelemetry* telemetry =
+                                      nullptr) const {
+    sweep::ResolveOptions options;
+    options.jobs = jobs;
+    options.log = &log;
+    options.telemetry = telemetry;
+    options.modelCacheDirs.push_back(store.modelDir());
+    if (shared) options.modelCacheDirs.push_back(shared->modelDir());
+    return sweep::resolveCampaign(spec, options);
+  }
 };
 
-LoadedCampaign loadFor(const util::Args& args, obs::Logger& log, int jobs) {
-  const std::string campaignPath = args.get("campaign");
+CampaignTarget openCampaign(const util::Args& args) {
   sweep::CampaignStore store(args.get("store"));
-  std::string shared = sharedStorePath(args);
-  auto spec = sweep::loadCampaign(campaignPath);
-  sweep::ResolveOptions options;
-  options.jobs = jobs;
-  options.log = &log;
-  options.modelCacheDirs.push_back(store.root() / "models");
-  if (!shared.empty()) {
-    options.modelCacheDirs.push_back(sweep::SharedStore(shared).modelDir());
+  std::string shared = args.getOr("shared-store", "");
+  if (shared.empty()) {
+    if (const char* env = std::getenv("IOP_SWEEP_STORE")) shared = env;
   }
-  return LoadedCampaign{sweep::resolveCampaign(spec, options),
-                        std::move(store), std::move(shared)};
+  auto spec = sweep::loadCampaign(args.get("campaign"));
+  CampaignTarget target{std::move(spec), std::move(store), std::nullopt};
+  if (!shared.empty()) target.shared.emplace(shared);
+  return target;
 }
 
 int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   const int jobs = parseJobs(args);
-  sweep::CampaignStore store(args.get("store"));
-  const std::string shared = sharedStorePath(args);
-  auto spec = sweep::loadCampaign(args.get("campaign"));
+  CampaignTarget target = openCampaign(args);
+  sweep::CampaignStore& store = target.store;
 
   // Quick crash-recovery preflight (iop-fsck's library check): quarantine
   // a torn campaign.txt or cached model, truncate dead writers' journal
@@ -193,7 +193,7 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   // opened.  Quiet when the store is clean.
   {
     sweep::FsckOptions fsck;
-    fsck.expectedCampaign = spec.canonicalText();
+    fsck.expectedCampaign = target.spec.canonicalText();
     const auto preflight = sweep::fsckCampaignStore(store.root(), fsck);
     if (!preflight.clean()) {
       std::fprintf(
@@ -205,24 +205,15 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   // Telemetry comes up before resolution so characterization events land
   // in the journal and on the exec trace too.
   sweep::SweepTelemetry telemetry(telemetryConfig(args, store));
-  telemetry.campaignStart(spec.name, sweep::hashHex(spec.canonicalText()),
-                          jobs);
-
-  sweep::ResolveOptions resolve;
-  resolve.jobs = jobs;
-  resolve.log = &obs.log();
-  resolve.telemetry = &telemetry;
-  resolve.modelCacheDirs.push_back(store.root() / "models");
-  if (!shared.empty()) {
-    resolve.modelCacheDirs.push_back(sweep::SharedStore(shared).modelDir());
-  }
-  const auto campaign = sweep::resolveCampaign(spec, resolve);
+  telemetry.campaignStart(target.spec.name,
+                          sweep::hashHex(target.spec.canonicalText()), jobs);
+  const auto campaign = target.resolve(jobs, obs.log(), &telemetry);
 
   sweep::SweepOptions options;
   options.jobs = jobs;
   options.force = args.flag("force");
   options.writeCaptures = !args.flag("no-captures");
-  options.sharedStore = shared;
+  if (target.shared) options.sharedStore = target.shared->root().string();
   options.cancel = &gCancelRequested;
   options.telemetry = &telemetry;
   options.softDeadlineSeconds = args.getDouble("soft-deadline-s", 0.0);
@@ -240,9 +231,9 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   telemetry.finish();
 
   std::string note =
-      shared.empty()
-          ? std::string()
-          : ", " + std::to_string(outcome.sharedHits) + " shared hits";
+      target.shared
+          ? ", " + std::to_string(outcome.sharedHits) + " shared hits"
+          : std::string();
   if (outcome.skipped > 0) {
     note += ", " + std::to_string(outcome.skipped) + " skipped";
   }
@@ -297,19 +288,20 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
 }
 
 int cmdReport(const util::Args& args, tools::ObsSession& obs) {
-  auto loaded = loadFor(args, obs.log(), parseJobs(args));
+  const CampaignTarget target = openCampaign(args);
+  const auto campaign = target.resolve(parseJobs(args), obs.log());
   // Build the outcome purely from the store: report never simulates.
   sweep::SweepOutcome outcome;
   std::size_t missing = 0;
-  for (const auto& cell : loaded.campaign.planCells()) {
+  for (const auto& cell : campaign.planCells()) {
     sweep::CellOutcome out;
     out.spec = cell;
     std::string whyBad;
     std::optional<sweep::CellResult> result;
-    if (loaded.store.hasCell(cell.key)) {
+    if (target.store.hasCell(cell.key)) {
       // Corrupt cells are quarantined and reported missing, pointing the
       // user at a resume instead of aborting the whole report.
-      result = loaded.store.tryLoadCell(cell.key, &whyBad);
+      result = target.store.tryLoadCell(cell.key, &whyBad);
     }
     if (result) {
       out.status = sweep::CellOutcome::Status::Cached;
@@ -325,11 +317,11 @@ int cmdReport(const util::Args& args, tools::ObsSession& obs) {
     }
     outcome.cells.push_back(std::move(out));
   }
-  std::printf("%s", sweep::renderReport(loaded.campaign, outcome).c_str());
+  std::printf("%s", sweep::renderReport(campaign, outcome).c_str());
   if (missing > 0) {
     std::fprintf(stderr,
                  "iop-sweep: %zu of %zu cells missing from %s\n", missing,
-                 outcome.cells.size(), loaded.store.root().c_str());
+                 outcome.cells.size(), target.store.root().c_str());
     return 1;
   }
   return 0;
@@ -355,12 +347,13 @@ int cmdPostmortem(const util::Args& args) {
 }
 
 int cmdGc(const util::Args& args, tools::ObsSession& obs) {
-  auto loaded = loadFor(args, obs.log(), parseJobs(args));
+  const CampaignTarget target = openCampaign(args);
+  const auto campaign = target.resolve(parseJobs(args), obs.log());
   std::set<std::string> live;
-  for (const auto& cell : loaded.campaign.planCells()) {
+  for (const auto& cell : campaign.planCells()) {
     live.insert(cell.key);
   }
-  const std::size_t removed = loaded.store.gc(live);
+  const std::size_t removed = target.store.gc(live);
   std::printf("gc: %zu live keys, %zu stale files removed\n", live.size(),
               removed);
   return 0;

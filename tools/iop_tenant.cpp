@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   args.addOption("capture-out",
                  "directory for per-job run captures "
                  "(<dir>/<jobid>.capture)");
-  args.addOption("capture-format", "capture format: v2 | v1", "v2");
   args.addOption("report-out", "also write the report text to this file");
   args.addOption("archive",
                  "archive each job's contended capture into this "
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
     const auto spec = tenant::loadTenantSpec(args.get("spec"));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const auto format = obs::parseCaptureFormat(args.get("capture-format"));
 
     fault::FaultPlan plan;
     tenant::TenantRunOptions options;
@@ -104,8 +102,7 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(dir);
       for (std::size_t j = 0; j < result.jobs.size(); ++j) {
         const auto cap = tenant::makeJobCapture(result, j);
-        cap.save((dir / (result.jobs[j].id + ".capture")).string(),
-                 format);
+        cap.save((dir / (result.jobs[j].id + ".capture")).string());
       }
       std::fprintf(stderr, "iop-tenant: wrote %zu capture(s) to %s\n",
                    result.jobs.size(), dir.string().c_str());
