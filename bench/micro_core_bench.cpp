@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/iomodel.hpp"
 #include "obs/hub.hpp"
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
 #include "core/lap.hpp"
 #include "core/phase.hpp"
 #include "trace/tracefile.hpp"
@@ -181,6 +183,48 @@ void BM_EngineMixedDelays(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 500);
 }
 BENCHMARK(BM_EngineMixedDelays)->Arg(64);
+
+void BM_EngineFanOut(benchmark::State& state) {
+  // RAID5-style fan-out on a bare engine: 8 clients each issue 64
+  // requests, and every request is a sim::whenAll over k member accesses
+  // (acquire the member's arm, hold it, release), the shape the block
+  // devices, striped filesystems and collective exchanges repeat per I/O
+  // call.  Measures the join itself: start event, child frames, the
+  // counted completion.
+  const int members = static_cast<int>(state.range(0));
+  constexpr int kClients = 8;
+  constexpr int kRequests = 64;
+  for (auto _ : state) {
+    iop::sim::Engine eng;
+    std::vector<std::unique_ptr<iop::sim::Resource>> arms;
+    for (int m = 0; m < members; ++m) {
+      arms.push_back(std::make_unique<iop::sim::Resource>(eng, 1));
+    }
+    for (int c = 0; c < kClients; ++c) {
+      eng.spawn([](iop::sim::Engine& e,
+                   std::vector<std::unique_ptr<iop::sim::Resource>>& arms,
+                   int client) -> iop::sim::Task<void> {
+        for (int r = 0; r < kRequests; ++r) {
+          std::vector<iop::sim::Task<void>> ops;
+          for (std::size_t m = 0; m < arms.size(); ++m) {
+            ops.push_back([](iop::sim::Engine& e, iop::sim::Resource& arm,
+                             double hold) -> iop::sim::Task<void> {
+              co_await arm.acquire();
+              co_await e.delay(hold);
+              arm.release();
+            }(e, *arms[m], 0.001 * (1 + (client + r + m) % 3)));
+          }
+          co_await iop::sim::whenAll(e, std::move(ops));
+        }
+      }(eng, arms, c));
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.eventsDispatched());
+  }
+  state.SetItemsProcessed(state.iterations() * kClients * kRequests *
+                          members);
+}
+BENCHMARK(BM_EngineFanOut)->Arg(4)->Arg(16);
 
 void BM_TraceParse(benchmark::State& state) {
   // Trace read-back rate (records/s): the front half of every

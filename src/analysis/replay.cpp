@@ -1,20 +1,10 @@
 #include "analysis/replay.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 #include "obs/profiler.hpp"
 
 namespace iop::analysis {
-
-std::string ReplayPlanEntry::cacheKey() const {
-  std::ostringstream key;
-  key << params.blockSize << '|' << params.transferSize << '|'
-      << params.segments << '|' << params.np << '|'
-      << params.uniqueFilePerProc << '|' << params.collective << '|'
-      << static_cast<int>(params.accessMode) << '|' << hasWrite << '|'
-      << hasRead;
-  return key.str();
-}
 
 ReplayPlanEntry planReplay(const core::IOModel& model,
                            const core::Phase& phase,
@@ -54,11 +44,18 @@ ReplayPlanEntry planReplay(const core::IOModel& model,
   return entry;
 }
 
+Replayer::Key Replayer::keyOf(const ReplayPlanEntry& entry) noexcept {
+  const ior::IorParams& p = entry.params;
+  return Key{p.blockSize,  p.transferSize,      p.segments,
+             p.np,         p.uniqueFilePerProc, p.collective,
+             p.accessMode, entry.hasWrite,      entry.hasRead};
+}
+
 PhaseBandwidth Replayer::measure(const core::IOModel& model,
                                  const core::Phase& phase) {
   IOP_PROFILE_SCOPE("replay.measure");
   auto entry = planReplay(model, phase, mount_);
-  const std::string key = entry.cacheKey();
+  const Key key = keyOf(entry);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 

@@ -17,6 +17,8 @@
 // on MADbench2's phase 3).
 #pragma once
 
+#include <compare>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -37,10 +39,6 @@ struct ReplayPlanEntry {
   bool hasWrite = false;
   bool hasRead = false;
   bool accessModeFallback = false;  ///< strided collapsed to sequential
-
-  /// Memoization key: phases with identical IOR parameters share one
-  /// benchmark execution.
-  std::string cacheKey() const;
 };
 
 /// Build the IOR parameters for one phase (Section III-B mapping).
@@ -69,9 +67,26 @@ class Replayer {
   std::size_t benchmarkRuns() const noexcept { return runs_; }
 
  private:
+  /// Memoization key: phases with identical IOR parameters share one
+  /// benchmark execution.  The mount is the Replayer's own, so it is not
+  /// part of the key.
+  struct Key {
+    std::uint64_t blockSize;
+    std::uint64_t transferSize;
+    int segments;
+    int np;
+    bool uniqueFilePerProc;
+    bool collective;
+    ior::AccessMode accessMode;
+    bool hasWrite;
+    bool hasRead;
+    auto operator<=>(const Key&) const = default;
+  };
+  static Key keyOf(const ReplayPlanEntry& entry) noexcept;
+
   ConfigBuilder builder_;
   std::string mount_;
-  std::map<std::string, PhaseBandwidth> cache_;
+  std::map<Key, PhaseBandwidth> cache_;
   std::size_t runs_ = 0;
 };
 

@@ -69,6 +69,13 @@ class Engine {
   }
   void scheduleNow(std::coroutine_handle<> h) { schedule(now_, h); }
 
+  /// True when an event is already queued for now(): it would run before
+  /// anything scheduleNow() adds.
+  bool hasEventNow() {
+    const detail::QueuedEvent* top = queue_.peek(now_);
+    return top != nullptr && top->when <= now_;
+  }
+
   /// Run until the event queue is empty.  Throws DeadlockError if detached
   /// processes remain blocked, and rethrows the first uncaught exception
   /// from any detached process.

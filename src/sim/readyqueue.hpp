@@ -115,10 +115,14 @@ class CalendarQueue {
       return;
     }
     ++count_;
-    // Everything in buckets or the overflow heap must stay >= the run's
-    // tail (peek never compares the run against them), so a push that
-    // would undercut the tail joins the intruder lane instead — a second
-    // sorted run merged with the main one at peek.  A dedicated lane keeps
+    // Everything in buckets or the overflow heap must stay strictly later
+    // than the run's tail (peek never compares the run against them), so a
+    // push that would undercut or tie the tail joins the intruder lane
+    // instead — a second sorted run merged with the main one at peek.  A
+    // tie matters when the tail went straight into the run above: left in
+    // a bucket, an event at the tail's time would still be there when the
+    // clock reaches it, and peek would hand out FIFO-lane events pushed at
+    // that time later (larger seq) ahead of it.  A dedicated lane keeps
     // the undercut path O(1) amortized even when a bad window pours a
     // large run and a stream of earlier events then arrives in time order
     // (mass up-front spawns): they append to the intruder lane instead of
@@ -126,7 +130,7 @@ class CalendarQueue {
     const QueuedEvent* tail = nearHead_ != near_.size() ? &near_.back()
                               : intrHead_ != intr_.size() ? &intr_.back()
                                                           : nullptr;
-    if (tail != nullptr && ev.when < tail->when) {
+    if (tail != nullptr && ev.when <= tail->when) {
       insertIntruder(ev);
       return;
     }

@@ -61,29 +61,50 @@ void CondVar::notifyAll() {
   waiters_.clear();
 }
 
-namespace {
+namespace detail {
 
-Task<void> runChild(Task<void> child, Latch& latch,
-                    std::exception_ptr& firstError) {
-  try {
-    co_await std::move(child);
-  } catch (...) {
-    if (!firstError) firstError = std::current_exception();
+std::coroutine_handle<> completeJoin(JoinState& join) {
+  // A wake event scheduled here (at now, with the next seq) would be
+  // dispatched next unless an event is already queued for now.  Resuming
+  // the parent directly keeps that order with one event fewer; otherwise
+  // the wake event is needed.
+  if (join.engine->hasEventNow()) {
+    join.engine->scheduleNow(join.parent);
+    return std::noop_coroutine();
   }
-  latch.countDown();
+  return join.parent;
 }
 
-}  // namespace
+}  // namespace detail
 
 Task<void> whenAll(Engine& engine, std::vector<Task<void>> tasks) {
-  Latch latch(engine, tasks.size());
-  std::exception_ptr firstError{};
+  if (tasks.empty()) co_return;
+  // One event starts every child.  That is the order one event per child
+  // would give: k events at now with consecutive seq run back to back.
+  co_await engine.yield();
+  // One extra count for the start loop itself, so a child that completes
+  // without suspending cannot resume this frame while it is still running.
+  detail::JoinState join{&engine, tasks.size() + 1};
   for (auto& task : tasks) {
-    engine.spawn(runChild(std::move(task), latch, firstError));
+    if (task.valid()) {
+      task.startJoined(join);
+    } else {
+      --join.pending;
+    }
   }
-  tasks.clear();
-  co_await latch.wait();
-  if (firstError) std::rethrow_exception(firstError);
+  struct Wait {
+    detail::JoinState& join;
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      join.parent = h;
+      if (--join.pending != 0) return std::noop_coroutine();
+      return detail::completeJoin(join);
+    }
+    void await_resume() const noexcept {}
+  };
+  co_await Wait{join};
+  tasks.clear();  // every child is parked at final-suspend; free the frames
+  if (join.firstError) std::rethrow_exception(join.firstError);
 }
 
 }  // namespace iop::sim

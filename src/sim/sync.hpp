@@ -2,7 +2,10 @@
 //
 // All primitives resume waiters *through the event queue* (never inline), so
 // wake-up order is deterministic and a primitive can be triggered from any
-// context without re-entrancy surprises.
+// context without re-entrancy surprises.  The one exception is the whenAll
+// join: its last child to finish resumes the joining coroutine directly
+// from its final-suspend, but only when a wake event would have been
+// dispatched next anyway (nothing else queued for that instant).
 #pragma once
 
 #include <coroutine>
@@ -202,6 +205,16 @@ class Channel {
 /// Run a set of tasks concurrently and resume when all complete.  The first
 /// child exception (in completion order) is rethrown after all children
 /// finish.
+///
+/// The join owns its children; they are not detached processes, so
+/// Engine::liveProcesses() does not count them.  One event at now() starts
+/// every child in order, each running until its first suspension (the
+/// same dispatch order as one spawn per child, whose k events had
+/// consecutive seq).  The last child to finish resumes the caller from its
+/// final-suspend; it schedules a wake event instead only when another
+/// event is already queued for now(), which would have run first.  Per
+/// fan-out of k children that is 1 or 2 events instead of k + 1, and
+/// k + 1 frames instead of 2k + 1, with the same dispatch order.
 Task<void> whenAll(Engine& engine, std::vector<Task<void>> tasks);
 
 }  // namespace iop::sim

@@ -12,6 +12,9 @@
 //    when the child finishes; exceptions propagate to the awaiter.
 //  * Engine::spawn / spawnAt take ownership; a detached frame destroys
 //    itself at final-suspend and reports uncaught exceptions to the Engine.
+//  * A sim::whenAll join keeps ownership of its children; each child's
+//    final-suspend counts the join down, and the last one resumes the
+//    join (see sync.hpp).
 #pragma once
 
 #include <coroutine>
@@ -31,12 +34,28 @@ namespace detail {
 void reportDetachedException(Engine& engine, std::exception_ptr exc);
 /// Notify the engine that a detached task finished (for deadlock checks).
 void noteDetachedTaskFinished(Engine& engine);
+
+/// Completion count of one sim::whenAll join.  Children started with
+/// Task::startJoined count it down at their final-suspend; the one that
+/// takes it to zero hands the join to completeJoin().
+struct JoinState {
+  Engine* engine = nullptr;
+  std::size_t pending = 0;
+  std::coroutine_handle<> parent{};
+  std::exception_ptr firstError{};  ///< first child failure, completion order
+};
+
+/// The count reached zero: resume `join.parent` now (returned, for
+/// symmetric transfer) or through a wake event (scheduled; returns
+/// noop_coroutine) — see whenAll in sync.hpp for which.
+std::coroutine_handle<> completeJoin(JoinState& join);
 }  // namespace detail
 
 struct PromiseBase {
   Engine* engine = nullptr;
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
+  detail::JoinState* join = nullptr;  ///< set for whenAll children
   bool detached = false;
 
   /// Coroutine frames come from the thread-local arena, not the heap: a
@@ -73,6 +92,12 @@ struct FinalAwaiter {
         noteDetachedTaskFinished(*engine);
         if (exc) reportDetachedException(*engine, exc);
       }
+      return std::noop_coroutine();
+    }
+    if (p.join != nullptr) {
+      JoinState& join = *p.join;
+      if (p.exception && !join.firstError) join.firstError = p.exception;
+      if (--join.pending == 0) return completeJoin(join);
       return std::noop_coroutine();
     }
     if (p.continuation) return p.continuation;
@@ -127,6 +152,14 @@ class [[nodiscard]] Task {
   /// Release ownership of the frame (used by Engine::spawn for detached
   /// execution).  The caller becomes responsible for the frame.
   Handle release() noexcept { return std::exchange(handle_, {}); }
+
+  /// Start the frame as a child of `join`: it runs until its first
+  /// suspension, and its final-suspend counts the join down instead of
+  /// resuming an awaiter.  The Task keeps ownership of the frame.
+  void startJoined(detail::JoinState& join) noexcept {
+    handle_.promise().join = &join;
+    handle_.resume();
+  }
 
   /// Awaiter: starting the child with symmetric transfer and resuming the
   /// parent from the child's final-suspend.

@@ -22,7 +22,7 @@ struct MemberSlice {
 
 sim::Task<void> SingleDisk::access(std::uint64_t offset, std::uint64_t size,
                                    IoOp op, std::int64_t cause) {
-  co_await disk_.access(offset, size, op, cause);
+  return disk_.access(offset, size, op, cause);
 }
 
 void SingleDisk::collectDisks(std::vector<Disk*>& out) {

@@ -34,22 +34,31 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 /// Serialized view of the (not thread-safe) Logger for worker threads.
+/// An event's fields come as a callable that renders them; it runs only
+/// when the line will be written, so a sweep with no logger attached (or
+/// a quieter level) builds no per-cell strings.
 class SharedLog {
  public:
   explicit SharedLog(obs::Logger* log) : log_(log) {}
 
-  void info(const std::string& event, const std::string& fields) {
-    if (log_ == nullptr) return;
-    std::lock_guard<std::mutex> guard(mutex_);
-    log_->info("sweep", event, fields);
+  template <typename Fields>
+  void info(const char* event, const Fields& fields) {
+    emit(obs::LogLevel::Info, event, fields);
   }
-  void warn(const std::string& event, const std::string& fields) {
-    if (log_ == nullptr) return;
-    std::lock_guard<std::mutex> guard(mutex_);
-    log_->warn("sweep", event, fields);
+  template <typename Fields>
+  void warn(const char* event, const Fields& fields) {
+    emit(obs::LogLevel::Warn, event, fields);
   }
 
  private:
+  template <typename Fields>
+  void emit(obs::LogLevel level, const char* event, const Fields& fields) {
+    if (log_ == nullptr || !log_->enabled(level)) return;
+    const std::string rendered = fields();
+    std::lock_guard<std::mutex> guard(mutex_);
+    log_->log(level, "sweep", event, rendered);
+  }
+
   obs::Logger* log_;
   std::mutex mutex_;
 };
@@ -268,7 +277,7 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         ++outcome.cacheHits;
         if (fromShared) ++outcome.sharedHits;
         sharedLog.info(fromShared ? "shared_hit" : "cache_hit",
-                       cellFields(campaign, cell));
+                       [&] { return cellFields(campaign, cell); });
         if (tele != nullptr) {
           tele->cacheHit(campaign.cellTitle(cell), cell.key, fromShared);
         }
@@ -276,9 +285,10 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
       }
       ++outcome.quarantined;
       sharedLog.warn(
-          fromShared ? "shared_cell_quarantined" : "cell_quarantined",
-          cellFields(campaign, cell) + ",\"error\":\"" +
-              obs::TraceRecorder::jsonEscape(whyBad) + "\"");
+          fromShared ? "shared_cell_quarantined" : "cell_quarantined", [&] {
+            return cellFields(campaign, cell) + ",\"error\":\"" +
+                   obs::TraceRecorder::jsonEscape(whyBad) + "\"";
+          });
       if (tele != nullptr) {
         tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
                               fromShared);
@@ -421,10 +431,10 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
           if (!doneSoft) {
             slow = true;
             lock.unlock();
-            sharedLog.warn(
-                "cell_slow",
-                cellFields(campaign, out.spec) + ",\"deadline_s\":" +
-                    std::to_string(options.softDeadlineSeconds));
+            sharedLog.warn("cell_slow", [&] {
+              return cellFields(campaign, out.spec) + ",\"deadline_s\":" +
+                     std::to_string(options.softDeadlineSeconds);
+            });
             if (tele != nullptr) {
               tele->cellSlow(worker, campaign.cellTitle(out.spec),
                              out.spec.key, options.softDeadlineSeconds);
@@ -483,11 +493,11 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         } catch (const std::exception&) {
           // Best-effort: a marker failure must not fail the run.
         }
-        sharedLog.warn("cell_stuck",
-                       cellFields(campaign, out.spec) +
-                           ",\"attempt\":" + std::to_string(attempt) +
-                           ",\"retry\":" +
-                           (retrying ? "true" : "false"));
+        sharedLog.warn("cell_stuck", [&] {
+          return cellFields(campaign, out.spec) +
+                 ",\"attempt\":" + std::to_string(attempt) +
+                 ",\"retry\":" + (retrying ? "true" : "false");
+        });
         if (tele != nullptr) {
           tele->cellStuck(worker, campaign.cellTitle(out.spec),
                           out.spec.key, attempt,
@@ -516,12 +526,11 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
             if (shared) shared->saveCell(out.result);
             out.status = CellOutcome::Status::Computed;
             out.seconds = secondsSince(cellStart);
-            sharedLog.info(
-                "cell_done",
-                cellFields(campaign, out.spec) + ",\"time_io\":" +
-                    std::to_string(out.result.timeIo) +
-                    ",\"ior_runs\":" +
-                    std::to_string(out.result.iorRuns));
+            sharedLog.info("cell_done", [&] {
+              return cellFields(campaign, out.spec) + ",\"time_io\":" +
+                     std::to_string(out.result.timeIo) + ",\"ior_runs\":" +
+                     std::to_string(out.result.iorRuns);
+            });
             if (tele != nullptr) {
               tele->cellCommit(worker, campaign.cellTitle(out.spec),
                                out.spec.key, tClaim, tEval, tele->now(),
@@ -537,10 +546,10 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
           out.status = CellOutcome::Status::Failed;
           out.error = evalError;
           out.seconds = secondsSince(cellStart);
-          sharedLog.warn(
-              "cell_failed",
-              cellFields(campaign, out.spec) + ",\"error\":\"" +
-                  obs::TraceRecorder::jsonEscape(evalError) + "\"");
+          sharedLog.warn("cell_failed", [&] {
+            return cellFields(campaign, out.spec) + ",\"error\":\"" +
+                   obs::TraceRecorder::jsonEscape(evalError) + "\"";
+          });
           if (tele != nullptr) {
             tele->cellFailed(worker, campaign.cellTitle(out.spec),
                              out.spec.key, tClaim, tele->now(),
@@ -650,18 +659,17 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
     metrics->counter("sweep.ior_runs")
         .add(static_cast<double>(outcome.iorRuns));
   }
-  sharedLog.info(
-      "run_complete",
-      "\"cells\":" + std::to_string(plan.size()) +
-          ",\"cache_hits\":" + std::to_string(outcome.cacheHits) +
-          ",\"shared_hits\":" + std::to_string(outcome.sharedHits) +
-          ",\"computed\":" + std::to_string(outcome.computed) +
-          ",\"failures\":" + std::to_string(outcome.failures) +
-          ",\"skipped\":" + std::to_string(outcome.skipped) +
-          ",\"quarantined\":" + std::to_string(outcome.quarantined) +
-          ",\"interrupted\":" +
-          (outcome.interrupted ? "true" : "false") +
-          ",\"jobs\":" + std::to_string(options.jobs));
+  sharedLog.info("run_complete", [&] {
+    return "\"cells\":" + std::to_string(plan.size()) +
+           ",\"cache_hits\":" + std::to_string(outcome.cacheHits) +
+           ",\"shared_hits\":" + std::to_string(outcome.sharedHits) +
+           ",\"computed\":" + std::to_string(outcome.computed) +
+           ",\"failures\":" + std::to_string(outcome.failures) +
+           ",\"skipped\":" + std::to_string(outcome.skipped) +
+           ",\"quarantined\":" + std::to_string(outcome.quarantined) +
+           ",\"interrupted\":" + (outcome.interrupted ? "true" : "false") +
+           ",\"jobs\":" + std::to_string(options.jobs);
+  });
   if (tele != nullptr) {
     tele->runComplete(plan.size(), outcome.cacheHits, outcome.sharedHits,
                       outcome.computed, outcome.failures, outcome.skipped,

@@ -4,6 +4,12 @@
 
 namespace iop::util {
 
+// insert() and erase() edit the nodes they touch in place: an end grows or
+// shrinks through the mapped value, a begin moves by re-keying the node
+// (map::extract keeps its allocation).  A node is allocated only for a
+// disjoint insert or a true split, and freed only when coalesced away or
+// erased whole.  The page cache calls both on every request.
+
 void IntervalSet::insert(std::uint64_t begin, std::uint64_t end) {
   if (begin >= end) return;
   // Find the first interval that could overlap or touch [begin, end).
@@ -12,16 +18,29 @@ void IntervalSet::insert(std::uint64_t begin, std::uint64_t end) {
     auto prev = std::prev(it);
     if (prev->second >= begin) it = prev;  // touches or overlaps from left
   }
-  std::uint64_t newBegin = begin;
-  std::uint64_t newEnd = end;
-  while (it != map_.end() && it->first <= newEnd) {
-    newBegin = std::min(newBegin, it->first);
-    newEnd = std::max(newEnd, it->second);
-    total_ -= it->second - it->first;
-    it = map_.erase(it);
+  if (it == map_.end() || it->first > end) {
+    map_.emplace_hint(it, begin, end);
+    total_ += end - begin;
+    return;
   }
-  map_.emplace(newBegin, newEnd);
-  total_ += newEnd - newBegin;
+  // `it` survives as the merged interval; later ones it reaches are
+  // absorbed into it.
+  std::uint64_t newEnd = std::max(end, it->second);
+  total_ -= it->second - it->first;
+  auto next = std::next(it);
+  while (next != map_.end() && next->first <= newEnd) {
+    newEnd = std::max(newEnd, next->second);
+    total_ -= next->second - next->first;
+    next = map_.erase(next);
+  }
+  it->second = newEnd;
+  if (begin < it->first) {
+    // The new begin still sorts between the previous interval and `next`.
+    auto node = map_.extract(it);
+    node.key() = begin;
+    it = map_.insert(next, std::move(node));
+  }
+  total_ += it->second - it->first;
 }
 
 void IntervalSet::erase(std::uint64_t begin, std::uint64_t end) {
@@ -31,20 +50,31 @@ void IntervalSet::erase(std::uint64_t begin, std::uint64_t end) {
     auto prev = std::prev(it);
     if (prev->second > begin) it = prev;
   }
-  while (it != map_.end() && it->first < end) {
-    const std::uint64_t ivBegin = it->first;
+  if (it != map_.end() && it->first < begin) {
+    // The head [it->first, begin) survives in place.
     const std::uint64_t ivEnd = it->second;
-    total_ -= ivEnd - ivBegin;
-    it = map_.erase(it);
-    if (ivBegin < begin) {
-      map_.emplace(ivBegin, begin);
-      total_ += begin - ivBegin;
-    }
+    it->second = begin;
     if (ivEnd > end) {
-      map_.emplace(end, ivEnd);
-      total_ += ivEnd - end;
-      break;
+      // A true split: the tail is the only new node.
+      map_.emplace_hint(std::next(it), end, ivEnd);
+      total_ -= end - begin;
+      return;
     }
+    total_ -= ivEnd - begin;
+    ++it;
+  }
+  while (it != map_.end() && it->first < end) {
+    if (it->second > end) {
+      // Trim the front: re-key the node to start at `end`.
+      total_ -= end - it->first;
+      auto next = std::next(it);
+      auto node = map_.extract(it);
+      node.key() = end;
+      map_.insert(next, std::move(node));
+      return;
+    }
+    total_ -= it->second - it->first;
+    it = map_.erase(it);
   }
 }
 

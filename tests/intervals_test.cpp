@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/intervals.hpp"
@@ -139,6 +142,86 @@ TEST(IntervalSet, StressRandomAgainstBitmap) {
   for (std::uint64_t k = 0; k < 1000; k += 7) {
     EXPECT_EQ(s.coveredBytes(k, k + 1), ref[k] ? 1u : 0u) << "at " << k;
   }
+}
+
+/// Maximal runs of set bytes in a bitmap: the reference IntervalSet.
+std::vector<IntervalSet::Interval> runsOf(const std::vector<bool>& bits,
+                                          std::uint64_t begin,
+                                          std::uint64_t end, bool value) {
+  std::vector<IntervalSet::Interval> out;
+  for (std::uint64_t k = begin; k < end;) {
+    if (bits[k] != value) {
+      ++k;
+      continue;
+    }
+    const std::uint64_t start = k;
+    while (k < end && bits[k] == value) ++k;
+    out.emplace_back(start, k);
+  }
+  return out;
+}
+
+TEST(IntervalSet, MixedEditsMatchByteBitmap) {
+  // Short ranges over a small universe: many intervals, so inserts grow,
+  // re-key and bridge nodes, and erases trim fronts and tails, split and
+  // remove whole ones.  Every observer is checked after every edit.
+  constexpr std::uint64_t kSpan = 160;
+  IntervalSet s;
+  std::vector<bool> ref(kSpan, false);
+  Rng rng(77);
+  int splits = 0, frontTrims = 0, bridges = 0, extendsLeft = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t a = rng.below(kSpan - 1);
+    const std::uint64_t b =
+        std::min<std::uint64_t>(kSpan, a + rng.below(24));  // may be empty
+    const auto before = runsOf(ref, 0, kSpan, true);
+    const bool erase = rng.below(5) < 2;
+    for (const auto& [lo, hi] : before) {
+      if (erase && lo < a && b < hi) ++splits;
+      if (erase && a <= lo && lo < b && b < hi) ++frontTrims;
+      if (!erase && a < lo && lo <= b && b < hi) ++extendsLeft;
+    }
+    if (!erase) {
+      int touched = 0;
+      for (const auto& [lo, hi] : before) touched += lo <= b && a <= hi;
+      bridges += a < b && touched >= 2;
+    }
+    if (erase) {
+      s.erase(a, b);
+    } else {
+      s.insert(a, b);
+    }
+    for (std::uint64_t k = a; k < b; ++k) ref[k] = !erase;
+
+    const auto want = runsOf(ref, 0, kSpan, true);
+    ASSERT_EQ(s.intervals(), want) << "after edit " << i;
+    std::uint64_t bytes = 0;
+    for (const auto& [lo, hi] : want) bytes += hi - lo;
+    ASSERT_EQ(s.totalBytes(), bytes) << "after edit " << i;
+    ASSERT_EQ(s.intervalCount(), want.size());
+
+    const std::uint64_t g0 = rng.below(kSpan);
+    const std::uint64_t g1 = g0 + rng.below(kSpan - g0 + 1);
+    ASSERT_EQ(s.gaps(g0, g1), runsOf(ref, g0, g1, false))
+        << "gaps [" << g0 << ", " << g1 << ") after edit " << i;
+
+    const std::uint64_t at = rng.below(kSpan + 8);
+    std::optional<IntervalSet::Interval> first;
+    for (const auto& iv : want) {
+      if (iv.first >= at) {
+        first = iv;
+        break;
+      }
+    }
+    if (!first && !want.empty()) first = want.front();  // wraps around
+    ASSERT_EQ(s.firstIntervalAtOrAfter(at), first)
+        << "at " << at << " after edit " << i;
+  }
+  // The mix really exercised the in-place paths.
+  EXPECT_GT(splits, 50);
+  EXPECT_GT(frontTrims, 50);
+  EXPECT_GT(bridges, 50);
+  EXPECT_GT(extendsLeft, 50);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -490,6 +492,281 @@ TEST(ReadyQueue, CalendarMatchesHeapOnRandomWorkloads) {
   EXPECT_GE(pops, 20000);
   EXPECT_TRUE(calendar.empty());
   EXPECT_EQ(calendar.peek(now), nullptr);
+}
+
+TEST(ReadyQueue, TieWithTheSoleRunEventKeepsSeqOrder) {
+  // Seq 0 goes straight into the run (the queue is empty) and seq 1 ties
+  // it.  Seq 1 must not wait in a bucket or the overflow heap: once the
+  // clock reaches 1.0, seq 3, pushed then into the FIFO lane, must still
+  // come after it.
+  detail::CalendarQueue calendar;
+  Time now = 0.0;
+  calendar.push(detail::QueuedEvent{1.0, 0, {}, false}, now);
+  calendar.push(detail::QueuedEvent{1.0, 1, {}, false}, now);
+  calendar.push(detail::QueuedEvent{2.0, 2, {}, false}, now);
+  ASSERT_EQ(calendar.peek(now)->seq, 0u);
+  now = calendar.pop(now).when;
+  calendar.push(detail::QueuedEvent{now, 3, {}, false}, now);
+  std::vector<std::uint64_t> order;
+  while (!calendar.empty()) {
+    calendar.peek(now);
+    const detail::QueuedEvent ev = calendar.pop(now);
+    now = ev.when;
+    order.push_back(ev.seq);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 2}));
+}
+
+// ------------------------------------------------------------ join model
+
+TEST(WhenAll, ChildThatNeverSuspendsCompletes) {
+  Engine eng;
+  std::vector<int> log;
+  eng.spawn([](Engine& e, std::vector<int>& log) -> Task<void> {
+    std::vector<Task<void>> kids;
+    for (int i = 0; i < 3; ++i) {
+      kids.push_back([](std::vector<int>& log, int id) -> Task<void> {
+        log.push_back(id);  // no co_await: done inside the start event
+        co_return;
+      }(log, i));
+    }
+    co_await whenAll(e, std::move(kids));
+    log.push_back(99);
+  }(eng, log));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 99}));
+  EXPECT_DOUBLE_EQ(eng.now(), 0.0);
+  // The spawn and the join's one start event; with nothing else queued
+  // the parent resumes inside the start event, with no wake event.
+  EXPECT_EQ(eng.eventsDispatched(), 2u);
+}
+
+TEST(WhenAll, SingleChild) {
+  Engine eng;
+  double doneAt = -1;
+  eng.spawn([](Engine& e, double& doneAt) -> Task<void> {
+    std::vector<Task<void>> kids;
+    kids.push_back([](Engine& e) -> Task<void> { co_await e.delay(1.5); }(e));
+    co_await whenAll(e, std::move(kids));
+    doneAt = e.now();
+  }(eng, doneAt));
+  eng.run();
+  EXPECT_DOUBLE_EQ(doneAt, 1.5);
+  // Spawn, start, the child's delay — and no wake event.
+  EXPECT_EQ(eng.eventsDispatched(), 3u);
+}
+
+TEST(WhenAll, ChildrenAreNotDetachedProcesses) {
+  Engine eng;
+  int liveInChild = -1;
+  eng.spawn([](Engine& e, int& live) -> Task<void> {
+    std::vector<Task<void>> kids;
+    for (int i = 0; i < 4; ++i) {
+      kids.push_back([](Engine& e, int& live) -> Task<void> {
+        co_await e.delay(1.0);
+        live = e.liveProcesses();
+      }(e, live));
+    }
+    co_await whenAll(e, std::move(kids));
+  }(eng, liveInChild));
+  eng.run();
+  EXPECT_EQ(liveInChild, 1);  // only the spawned parent
+  EXPECT_EQ(eng.liveProcesses(), 0);
+}
+
+/// Counts destructions: a frame holding one has been destroyed exactly
+/// when its count has gone up.
+struct DestroyProbe {
+  int* destroyed;
+  explicit DestroyProbe(int* d) : destroyed(d) {}
+  DestroyProbe(const DestroyProbe&) = delete;
+  DestroyProbe& operator=(const DestroyProbe&) = delete;
+  ~DestroyProbe() { ++*destroyed; }
+};
+
+TEST(WhenAll, ExceptionWaitsForSlowestChildAndFreesFrames) {
+  const std::uint64_t liveBefore = FrameArena::local().stats().liveFrames;
+  Engine eng;
+  int destroyed = 0;
+  int destroyedAtCatch = -1;
+  double caughtAt = -1;
+  std::string what;
+  eng.spawn([](Engine& e, int& destroyed, int& atCatch, double& at,
+               std::string& what) -> Task<void> {
+    std::vector<Task<void>> kids;
+    kids.push_back([](Engine& e, int* d) -> Task<void> {
+      DestroyProbe probe(d);
+      co_await e.delay(1.0);
+      throw std::runtime_error("first");
+    }(e, &destroyed));
+    kids.push_back([](Engine& e, int* d) -> Task<void> {
+      DestroyProbe probe(d);
+      co_await e.delay(2.0);
+      throw std::runtime_error("second");
+    }(e, &destroyed));
+    kids.push_back([](Engine& e, int* d) -> Task<void> {
+      DestroyProbe probe(d);
+      co_await e.delay(7.0);
+    }(e, &destroyed));
+    try {
+      co_await whenAll(e, std::move(kids));
+    } catch (const std::runtime_error& err) {
+      at = e.now();
+      atCatch = destroyed;
+      what = err.what();
+    }
+  }(eng, destroyed, destroyedAtCatch, caughtAt, what));
+  eng.run();
+  EXPECT_DOUBLE_EQ(caughtAt, 7.0);  // rethrown only after the slowest child
+  EXPECT_EQ(what, "first");         // the first failure in completion order
+  EXPECT_EQ(destroyedAtCatch, 3);   // every child's body had unwound
+  EXPECT_EQ(FrameArena::local().stats().liveFrames, liveBefore);
+}
+
+TEST(WhenAll, DeadlockedChildRaisesDeadlockError) {
+  Engine eng;
+  Event never(eng);
+  eng.spawn([](Engine& e, Event& ev) -> Task<void> {
+    std::vector<Task<void>> kids;
+    kids.push_back([](Engine& e) -> Task<void> { co_await e.delay(1.0); }(e));
+    kids.push_back([](Event& ev) -> Task<void> { co_await ev.wait(); }(ev));
+    co_await whenAll(e, std::move(kids));
+  }(eng, never));
+  EXPECT_THROW(eng.run(), DeadlockError);
+  // Release the blocked child so the join and its parent finish and free
+  // their frames.
+  never.set();
+  eng.run();
+  EXPECT_EQ(eng.liveProcesses(), 0);
+}
+
+// The join against the implementation it replaced: one detached spawn per
+// child behind a wrapper frame, and a Latch whose count-down schedules the
+// wake event.  Randomized fan-out trees with nested joins contend on one
+// resource, with many zero delays and exact-binary delays so that a lot of
+// events tie on time; every step's (id, time) must match, in order.
+
+Task<void> referenceChild(Task<void> child, Latch& latch,
+                          std::exception_ptr& firstError) {
+  try {
+    co_await std::move(child);
+  } catch (...) {
+    if (!firstError) firstError = std::current_exception();
+  }
+  latch.countDown();
+}
+
+Task<void> referenceWhenAll(Engine& engine, std::vector<Task<void>> tasks) {
+  Latch latch(engine, tasks.size());
+  std::exception_ptr firstError{};
+  for (auto& task : tasks) {
+    engine.spawn(referenceChild(std::move(task), latch, firstError));
+  }
+  tasks.clear();
+  co_await latch.wait();
+  if (firstError) std::rethrow_exception(firstError);
+}
+
+using JoinFn = Task<void> (*)(Engine&, std::vector<Task<void>>);
+
+struct FanOutNode {
+  int id = 0;
+  std::vector<Time> delays;  ///< before the hold; many are zero
+  Time hold = -1;            ///< resource hold (may be 0); < 0 = none
+  std::vector<FanOutNode> kids;
+  Time after = 0;  ///< delay after the join
+};
+
+/// 0, 0.25, 0.5 or 0.75: zero half the time, and sums stay exact.
+Time tieProneDelay(util::Rng& rng) {
+  return rng.below(2) == 0 ? 0.0 : 0.25 * static_cast<double>(rng.below(4));
+}
+
+FanOutNode makeFanOutTree(util::Rng& rng, int depth, int& nextId) {
+  FanOutNode node;
+  node.id = nextId++;
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    node.delays.push_back(tieProneDelay(rng));
+  }
+  if (rng.below(3) != 0) node.hold = tieProneDelay(rng);
+  if (depth > 0 && rng.below(3) != 0) {
+    for (std::uint64_t k = 1 + rng.below(4); k > 0; --k) {
+      node.kids.push_back(makeFanOutTree(rng, depth - 1, nextId));
+    }
+    node.after = tieProneDelay(rng);
+  }
+  return node;
+}
+
+Task<void> runFanOutNode(Engine& eng, Resource& res, JoinFn join,
+                         const FanOutNode& node, std::vector<Step>& log) {
+  log.push_back({node.id, eng.now()});
+  for (Time d : node.delays) {
+    co_await eng.delay(d);
+    log.push_back({node.id, eng.now()});
+  }
+  if (node.hold >= 0) {
+    co_await res.acquire();
+    log.push_back({node.id, eng.now()});
+    co_await eng.delay(node.hold);
+    res.release();
+    log.push_back({node.id, eng.now()});
+  }
+  if (!node.kids.empty()) {
+    std::vector<Task<void>> kids;
+    for (const FanOutNode& kid : node.kids) {
+      kids.push_back(runFanOutNode(eng, res, join, kid, log));
+    }
+    co_await join(eng, std::move(kids));
+    log.push_back({node.id, eng.now()});
+    co_await eng.delay(node.after);
+    log.push_back({node.id, eng.now()});
+  }
+}
+
+struct FanOutRun {
+  std::vector<Step> log;
+  std::uint64_t events = 0;
+};
+
+FanOutRun runFanOutForest(const std::vector<FanOutNode>& roots,
+                          JoinFn join) {
+  Engine eng;
+  Resource res(eng, 1);
+  FanOutRun run;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const Time at = 0.25 * static_cast<double>(i % 3);
+    eng.spawnAt(at, runFanOutNode(eng, res, join, roots[i], run.log));
+  }
+  eng.run();
+  run.events = eng.eventsDispatched();
+  return run;
+}
+
+TEST(WhenAll, MatchesSpawnAndLatchReferenceOnRandomContention) {
+  util::Rng rng(2024);
+  std::uint64_t joinEvents = 0;
+  std::uint64_t referenceEvents = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    int nextId = 0;
+    std::vector<FanOutNode> roots;
+    for (std::uint64_t r = 1 + rng.below(4); r > 0; --r) {
+      roots.push_back(makeFanOutTree(rng, 3, nextId));
+    }
+    const FanOutRun got = runFanOutForest(roots, &whenAll);
+    const FanOutRun want = runFanOutForest(roots, &referenceWhenAll);
+    ASSERT_EQ(got.log.size(), want.log.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.log.size(); ++i) {
+      ASSERT_EQ(got.log[i].id, want.log[i].id)
+          << "trial " << trial << " step " << i;
+      ASSERT_EQ(got.log[i].at, want.log[i].at)
+          << "trial " << trial << " step " << i;
+    }
+    ASSERT_LE(got.events, want.events) << "trial " << trial;
+    joinEvents += got.events;
+    referenceEvents += want.events;
+  }
+  EXPECT_LT(joinEvents, referenceEvents);  // the join does save events
 }
 
 // ------------------------------------------------ schedule-time validation
