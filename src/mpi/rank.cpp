@@ -99,13 +99,7 @@ Rank::ObsHandles& Rank::obsHandles(obs::Hub& hub) {
 
 int Rank::obsTrack(obs::Hub& hub) {
   ObsHandles& h = obsHandles(hub);
-  if (h.track < 0) {
-    const std::string& prefix = runtime_.trackPrefix();
-    h.track = prefix.empty()
-                  ? hub.trace->rankTrack(id_)
-                  : hub.trace->track(obs::TrackKind::Rank,
-                                     prefix + "rank " + std::to_string(id_));
-  }
+  if (h.track < 0) h.track = hub.trace->rankTrack(id_);
   return h.track;
 }
 

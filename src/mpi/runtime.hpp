@@ -92,10 +92,6 @@ struct RuntimeOptions {
   /// Disable when several Runtimes share one topology; the caller then
   /// shuts down after the last one completes (see Runtime::completed()).
   bool shutdownTopologyOnCompletion = true;
-  /// Prefix for the ranks' trace-track names ("" = the plain per-rank
-  /// tracks).  Multi-tenant runs set "job#<id> " so each job's ranks get
-  /// their own track group in the trace viewer.
-  std::string trackPrefix;
 };
 
 class Runtime {
@@ -116,9 +112,6 @@ class Runtime {
   double runToCompletion(RankMain main);
 
   int np() const noexcept { return options_.np; }
-  const std::string& trackPrefix() const noexcept {
-    return options_.trackPrefix;
-  }
   sim::Engine& engine() noexcept { return topology_.engine(); }
   storage::Topology& topology() noexcept { return topology_; }
   Comm& world() noexcept { return *world_; }

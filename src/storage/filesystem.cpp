@@ -28,8 +28,7 @@ sim::Task<void> NfsFS::write(Node& client, int fileId, std::uint64_t offset,
     const std::uint64_t chunk = std::min(size - cursor, params_.rpcSize);
     co_await engine_.delay(params_.clientPerRpcOverhead);
     co_await transfer(engine_, client, server_.node(), chunk, cause);
-    co_await server_.handleWrite(base + offset + cursor, chunk, cause,
-                                 client.tenantJob());
+    co_await server_.handleWrite(base + offset + cursor, chunk, cause);
     cursor += chunk;
   }
 }
@@ -43,8 +42,7 @@ sim::Task<void> NfsFS::read(Node& client, int fileId, std::uint64_t offset,
     co_await engine_.delay(params_.clientPerRpcOverhead);
     // Request RPC to the server, data response back.
     co_await transfer(engine_, client, server_.node(), 256, cause);
-    co_await server_.handleRead(base + offset + cursor, chunk, cause,
-                                client.tenantJob());
+    co_await server_.handleRead(base + offset + cursor, chunk, cause);
     co_await transfer(engine_, server_.node(), client, chunk, cause);
     cursor += chunk;
   }
@@ -170,12 +168,10 @@ sim::Task<void> StripedFS::perServer(Node& client, IoServer& server,
     co_await engine_.delay(params_.clientPerRpcOverhead);
     if (op == IoOp::Write) {
       co_await transfer(engine_, client, server.node(), chunk, cause);
-      co_await server.handleWrite(offset + cursor, chunk, cause,
-                                  client.tenantJob());
+      co_await server.handleWrite(offset + cursor, chunk, cause);
     } else {
       co_await transfer(engine_, client, server.node(), 256, cause);
-      co_await server.handleRead(offset + cursor, chunk, cause,
-                                 client.tenantJob());
+      co_await server.handleRead(offset + cursor, chunk, cause);
       co_await transfer(engine_, server.node(), client, chunk, cause);
     }
     cursor += chunk;

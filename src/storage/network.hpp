@@ -60,12 +60,6 @@ class Node {
   void setFaultPort(FaultPort* port) noexcept { fault_ = port; }
   FaultPort* faultPort() const noexcept { return fault_; }
 
-  /// Multi-tenant co-scheduling: which tenant job this node's traffic
-  /// belongs to (-1 = untenanted; the default).  Filesystems forward the
-  /// tag to the I/O servers so the QoS arbiter can tell jobs apart.
-  void setTenantJob(int job) noexcept { tenantJob_ = job; }
-  int tenantJob() const noexcept { return tenantJob_; }
-
   /// What transfer() records for traffic sent from this node, resolved
   /// once per attached hub (`epoch` = sim::Engine::obsEpoch()).
   struct ObsHandles {
@@ -87,7 +81,6 @@ class Node {
   sim::Resource rx_;
   double degradation_ = 1.0;
   FaultPort* fault_ = nullptr;
-  int tenantJob_ = -1;
   obs::HubCache<ObsHandles> obs_;
 };
 

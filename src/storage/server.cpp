@@ -7,36 +7,19 @@ namespace iop::storage {
 // request for the same events.
 
 sim::Task<void> IoServer::handleWrite(std::uint64_t offset,
-                                      std::uint64_t size, std::int64_t cause,
-                                      int job) {
-  const bool gated = arbiter_ != nullptr && job >= 0;
-  if (gated) co_await arbiter_->admit(job, size, /*isWrite=*/true, cause);
-  try {
-    co_await cpu_.acquire();
-    co_await engine_.delay(params_.cpuPerRequest);
-    cpu_.release();
-    co_await cache_.write(offset, size, cause);
-  } catch (...) {
-    if (gated) arbiter_->release(job);
-    throw;
-  }
-  if (gated) arbiter_->release(job);
+                                      std::uint64_t size, std::int64_t cause) {
+  co_await cpu_.acquire();
+  co_await engine_.delay(params_.cpuPerRequest);
+  cpu_.release();
+  co_await cache_.write(offset, size, cause);
 }
 
 sim::Task<void> IoServer::handleRead(std::uint64_t offset, std::uint64_t size,
-                                     std::int64_t cause, int job) {
-  const bool gated = arbiter_ != nullptr && job >= 0;
-  if (gated) co_await arbiter_->admit(job, size, /*isWrite=*/false, cause);
-  try {
-    co_await cpu_.acquire();
-    co_await engine_.delay(params_.cpuPerRequest);
-    cpu_.release();
-    co_await cache_.read(offset, size, cause);
-  } catch (...) {
-    if (gated) arbiter_->release(job);
-    throw;
-  }
-  if (gated) arbiter_->release(job);
+                                     std::int64_t cause) {
+  co_await cpu_.acquire();
+  co_await engine_.delay(params_.cpuPerRequest);
+  cpu_.release();
+  co_await cache_.read(offset, size, cause);
 }
 
 sim::Task<void> IoServer::handleMetadata() {

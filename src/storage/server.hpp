@@ -22,19 +22,6 @@ struct ServerParams {
   CacheParams cache;
 };
 
-/// Arbitration point in front of a server's data path (QoS, multi-tenant).
-/// admit() suspends the request until the arbiter grants it; release()
-/// signals completion so the next queued request can be dispatched.  The
-/// server only consults the arbiter for requests carrying a tenant-job tag
-/// (job >= 0), so untenanted runs are byte-identical with or without one.
-class ServerArbiter {
- public:
-  virtual ~ServerArbiter() = default;
-  virtual sim::Task<void> admit(int job, std::uint64_t bytes, bool isWrite,
-                                std::int64_t cause) = 0;
-  virtual void release(int job) = 0;
-};
-
 class IoServer {
  public:
   IoServer(sim::Engine& engine, Node& node,
@@ -49,14 +36,12 @@ class IoServer {
   /// Service a write request landing on this server (post-network).
   /// `cause` is the obs activity the request serves (-1 = none); it is
   /// forwarded down through the cache to the device for dependency edges.
-  /// `job` is the tenant-job tag of the issuing client node (-1 = none);
-  /// tagged requests pass through the arbiter when one is installed.
   sim::Task<void> handleWrite(std::uint64_t offset, std::uint64_t size,
-                              std::int64_t cause = -1, int job = -1);
+                              std::int64_t cause = -1);
 
   /// Service a read request landing on this server (post-network).
   sim::Task<void> handleRead(std::uint64_t offset, std::uint64_t size,
-                             std::int64_t cause = -1, int job = -1);
+                             std::int64_t cause = -1);
 
   /// Cheap metadata operation (open/close/stat).
   sim::Task<void> handleMetadata();
@@ -71,11 +56,6 @@ class IoServer {
 
   void shutdown() { cache_.shutdown(); }
 
-  /// Install / detach the QoS arbiter (null = none; the default).  Only
-  /// requests with a tenant-job tag consult it — see ServerArbiter.
-  void setArbiter(ServerArbiter* arbiter) noexcept { arbiter_ = arbiter; }
-  ServerArbiter* arbiter() const noexcept { return arbiter_; }
-
  private:
   sim::Engine& engine_;
   Node& node_;
@@ -83,7 +63,6 @@ class IoServer {
   std::unique_ptr<BlockDevice> device_;
   PageCache cache_;
   sim::Resource cpu_;
-  ServerArbiter* arbiter_ = nullptr;
 };
 
 }  // namespace iop::storage

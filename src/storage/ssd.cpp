@@ -83,77 +83,4 @@ std::string Ssd::describe() const {
          " channels)";
 }
 
-// ------------------------------------------------------------- BurstBuffer
-
-BurstBuffer::BurstBuffer(sim::Engine& engine, BurstBufferParams params,
-                         DrainFn drain)
-    : engine_(engine),
-      params_(std::move(params)),
-      drain_(std::move(drain)),
-      staging_(engine, params_.ssd),
-      itemsCv_(engine),
-      spaceCv_(engine),
-      idleCv_(engine) {
-  if (params_.capacityBytes == 0) {
-    throw std::invalid_argument("burst buffer capacity must be > 0");
-  }
-  if (!drain_) {
-    throw std::invalid_argument("burst buffer needs a drain function");
-  }
-  engine_.spawn(drainerLoop());
-}
-
-sim::Task<void> BurstBuffer::absorb(int fileId, std::uint64_t offset,
-                                    std::uint64_t size, std::int64_t cause) {
-  if (size == 0) co_return;
-  if (size > params_.capacityBytes) {
-    // Can never fit: spill straight to the backing store, synchronously.
-    spilledBytes_ += size;
-    co_await drain_(fileId, offset, size, cause);
-    co_return;
-  }
-  while (stagedBytes_ + size > params_.capacityBytes) {
-    co_await spaceCv_.wait();
-  }
-  const std::uint64_t stageOffset = stageCursor_ % params_.capacityBytes;
-  stageCursor_ += size;
-  stagedBytes_ += size;
-  absorbedBytes_ += size;
-  co_await staging_.access(stageOffset, size, IoOp::Write, cause);
-  queue_.push_back(Segment{fileId, offset, stageOffset, size, cause});
-  itemsCv_.notifyAll();
-}
-
-sim::Task<void> BurstBuffer::drainerLoop() {
-  for (;;) {
-    while (queue_.empty()) {
-      if (shutdown_) co_return;
-      co_await itemsCv_.wait();
-    }
-    const Segment seg = queue_.front();
-    queue_.pop_front();
-    draining_ = true;
-    // Read the bytes back from flash, then hand them to the backing tier.
-    // Background drain writes stay causeless, like the page-cache flusher.
-    co_await staging_.access(seg.stageOffset, seg.size, IoOp::Read, -1);
-    co_await drain_(seg.fileId, seg.fileOffset, seg.size, -1);
-    stagedBytes_ -= seg.size;
-    drainedBytes_ += seg.size;
-    draining_ = false;
-    spaceCv_.notifyAll();
-    if (queue_.empty()) idleCv_.notifyAll();
-  }
-}
-
-sim::Task<void> BurstBuffer::flush() {
-  while (!queue_.empty() || draining_) {
-    co_await idleCv_.wait();
-  }
-}
-
-void BurstBuffer::shutdown() {
-  shutdown_ = true;
-  itemsCv_.notifyAll();
-}
-
 }  // namespace iop::storage

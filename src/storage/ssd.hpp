@@ -13,14 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "storage/blockdev.hpp"
 #include "storage/disk.hpp"
 
@@ -57,77 +54,6 @@ class Ssd final : public BlockDevice {
   /// their counters make the monitor and conservation checks work
   /// unchanged.
   std::vector<std::unique_ptr<Disk>> channels_;
-};
-
-/// Burst-buffer staging tier (bbThemis-style what-if): a bounded SSD
-/// capacity that absorbs writes at flash speed and drains them to the
-/// backing store in the background.
-struct BurstBufferParams {
-  SsdParams ssd;  ///< the staging device
-  std::uint64_t capacityBytes = 8ULL << 30;
-};
-
-/// Absorb-and-drain write staging in front of a slower backing tier.
-///
-/// absorb() pays the staging SSD's write cost (blocking only when the
-/// bounded capacity is full of undrained data), then a background drainer
-/// reads each segment back from flash and hands it to `drain` — typically
-/// a filesystem write to the disk tier.  Requests larger than the whole
-/// capacity spill: they bypass staging and go straight to `drain`.
-///
-/// Lifecycle mirrors PageCache: the constructor spawns the drainer; call
-/// flush() to wait for a full drain and shutdown() to let it exit so
-/// Engine::run() completes.
-class BurstBuffer {
- public:
-  using DrainFn = std::function<sim::Task<void>(
-      int fileId, std::uint64_t offset, std::uint64_t size,
-      std::int64_t cause)>;
-
-  BurstBuffer(sim::Engine& engine, BurstBufferParams params, DrainFn drain);
-
-  /// Stage a write (or spill it when it cannot fit at all).
-  sim::Task<void> absorb(int fileId, std::uint64_t offset,
-                         std::uint64_t size, std::int64_t cause = -1);
-
-  /// Block until every staged byte reached the backing store.
-  sim::Task<void> flush();
-
-  /// Tell the drainer to exit once drained.  Idempotent.
-  void shutdown();
-
-  std::uint64_t stagedBytes() const noexcept { return stagedBytes_; }
-  std::uint64_t absorbedBytes() const noexcept { return absorbedBytes_; }
-  std::uint64_t spilledBytes() const noexcept { return spilledBytes_; }
-  std::uint64_t drainedBytes() const noexcept { return drainedBytes_; }
-  const BurstBufferParams& params() const noexcept { return params_; }
-
- private:
-  struct Segment {
-    int fileId = 0;
-    std::uint64_t fileOffset = 0;   ///< backing-store destination
-    std::uint64_t stageOffset = 0;  ///< where the bytes sit on flash
-    std::uint64_t size = 0;
-    std::int64_t cause = -1;
-  };
-
-  sim::Task<void> drainerLoop();
-
-  sim::Engine& engine_;
-  BurstBufferParams params_;
-  DrainFn drain_;
-  Ssd staging_;
-  std::deque<Segment> queue_;
-  std::uint64_t stageCursor_ = 0;  ///< rolling flash offset (wraps)
-  std::uint64_t stagedBytes_ = 0;
-  std::uint64_t absorbedBytes_ = 0;
-  std::uint64_t spilledBytes_ = 0;
-  std::uint64_t drainedBytes_ = 0;
-  bool draining_ = false;
-  bool shutdown_ = false;
-  sim::CondVar itemsCv_;  ///< drainer waits for work
-  sim::CondVar spaceCv_;  ///< absorb waits for staging space
-  sim::CondVar idleCv_;   ///< flush waits for full drain
 };
 
 }  // namespace iop::storage

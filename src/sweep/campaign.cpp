@@ -185,14 +185,6 @@ std::string CampaignSpec::canonicalText() const {
     }
     out << "fault-seeds " << faultSeeds << "\n";
   }
-  // Tenant lines follow the same compat rule as fault lines.
-  if (hasTenantAxis()) {
-    for (const auto& t : tenants) {
-      out << "tenantspec " << t.label
-          << (t.none() ? std::string(" none") : " file=" + t.path) << "\n";
-    }
-    out << "tenant-seeds " << tenantSeeds << "\n";
-  }
   out << "characterize "
       << (characterize.fromFile ? "file=" + characterize.path
                                 : characterize.name)
@@ -209,8 +201,6 @@ CampaignSpec parseCampaign(const std::string& text,
   bool sawDegradeNet = false;
   bool sawFaultPlan = false;
   bool sawFaultSeeds = false;
-  bool sawTenantSpec = false;
-  bool sawTenantSeeds = false;
 
   std::istringstream in(text);
   std::string line;
@@ -301,33 +291,6 @@ CampaignSpec parseCampaign(const std::string& text,
         fail(lineNo, "bad fault-seeds '" + tokens[1] + "'");
       }
       if (spec.faultSeeds < 1) fail(lineNo, "fault-seeds must be >= 1");
-    } else if (directive == "tenantspec") {
-      if (tokens.size() < 2) fail(lineNo, "tenantspec <none | file=path>");
-      // Like faultplan: the first tenantspec line replaces the implicit
-      // uncontended default; declare `tenantspec none` to keep it.
-      if (!sawTenantSpec) spec.tenants.clear();
-      sawTenantSpec = true;
-      TenantSource t;
-      if (tokens[1] == "none") {
-        t.label = "none";
-      } else if (tokens[1].rfind("file=", 0) == 0) {
-        t.path = resolvePath(baseDir, tokens[1].substr(5));
-        t.label = stem(t.path);
-      } else {
-        fail(lineNo, "tenantspec wants 'none' or 'file=<path>', got '" +
-                         tokens[1] + "'");
-      }
-      spec.tenants.push_back(std::move(t));
-    } else if (directive == "tenant-seeds") {
-      if (sawTenantSeeds) fail(lineNo, "duplicate tenant-seeds");
-      sawTenantSeeds = true;
-      if (tokens.size() != 2) fail(lineNo, "tenant-seeds <count>");
-      try {
-        spec.tenantSeeds = std::stoi(tokens[1]);
-      } catch (const std::exception&) {
-        fail(lineNo, "bad tenant-seeds '" + tokens[1] + "'");
-      }
-      if (spec.tenantSeeds < 1) fail(lineNo, "tenant-seeds must be >= 1");
     } else if (directive == "multiop") {
       spec.multiop = true;
     } else if (directive == "characterize") {
@@ -363,14 +326,6 @@ CampaignSpec parseCampaign(const std::string& text,
   std::vector<std::string*> faultLabels;
   for (auto& f : spec.faults) faultLabels.push_back(&f.label);
   disambiguate(faultLabels);
-  if (spec.tenants.empty()) {
-    throw std::invalid_argument(
-        "campaign: tenantspec lines replaced the uncontended default but "
-        "declared no entries");
-  }
-  std::vector<std::string*> tenantLabels;
-  for (auto& t : spec.tenants) tenantLabels.push_back(&t.label);
-  disambiguate(tenantLabels);
   return spec;
 }
 
@@ -425,17 +380,21 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
     m.label = src.label;
     if (src.fromApp()) {
       const std::string key = modelCacheKey(src, charCfg.identity);
-      bool hit = false;
+      const auto& dirs = options.modelCacheDirs;
+      // Dirs the model must be written into: all of them on a miss, those
+      // probed before the hit otherwise.
+      std::size_t missing = dirs.size();
       if (options.reuse) {
-        for (const auto& dir : options.modelCacheDirs) {
-          const auto path = dir / (key + ".model");
+        for (std::size_t d = 0; d < dirs.size(); ++d) {
+          const auto path = dirs[d] / (key + ".model");
           if (std::filesystem::exists(path)) {
             m.model = core::IOModel::load(path);
-            hit = true;
+            missing = d;
             break;
           }
         }
       }
+      const bool hit = missing < dirs.size();
       if (!hit) {
         // Characterization run (Section III-A): trace the app once on the
         // characterize configuration and extract its subsystem-independent
@@ -456,14 +415,12 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
         }
       }
       m.contentText = m.model.renderText();
-      if (!hit) {
-        // Model serialization round-trips exactly, so a future cache hit
-        // yields the same contentText — and therefore the same cell keys —
-        // as this characterization.
-        for (const auto& dir : options.modelCacheDirs) {
-          std::filesystem::create_directories(dir);
-          writeFileAtomically(dir / (key + ".model"), m.contentText);
-        }
+      // Model serialization round-trips exactly, so a future cache hit
+      // yields the same contentText — and therefore the same cell keys —
+      // as this characterization or the copy it was loaded from.
+      for (std::size_t d = 0; d < missing; ++d) {
+        std::filesystem::create_directories(dirs[d]);
+        writeFileAtomically(dirs[d] / (key + ".model"), m.contentText);
       }
       outcomes[i].characterized = !hit;
       outcomes[i].cacheHit = hit;
@@ -555,16 +512,6 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
     }
     out.faults.push_back(std::move(f));
   }
-  for (const auto& src : spec.tenants) {
-    ResolvedTenant t;
-    t.label = src.label;
-    if (!src.none()) {
-      // Same early-failure contract as fault plans.
-      t.spec = tenant::loadTenantSpec(src.path);
-      t.specText = t.spec.canonicalText();
-    }
-    out.tenants.push_back(std::move(t));
-  }
   return out;
 }
 
@@ -579,9 +526,7 @@ std::string cellKey(const char* estimatorVersion,
                     const std::string& modelText,
                     const std::string& configIdentity, double degradeDisks,
                     double degradeNet, const std::string& faultPlanText,
-                    std::uint64_t faultSeed,
-                    const std::string& tenantSpecText,
-                    std::uint64_t tenantSeed) {
+                    std::uint64_t faultSeed) {
   ContentHash h;
   h.update("iop-sweep/1");
   h.update(estimatorVersion);
@@ -595,11 +540,6 @@ std::string cellKey(const char* estimatorVersion,
     h.update("fault=" + faultPlanText);
     h.update("fault-seed=" + std::to_string(faultSeed));
   }
-  // Same rule for tenant fields and pre-tenant stores.
-  if (!tenantSpecText.empty()) {
-    h.update("tenant=" + tenantSpecText);
-    h.update("tenant-seed=" + std::to_string(tenantSeed));
-  }
   return h.hex();
 }
 
@@ -610,53 +550,25 @@ std::vector<CellSpec> ResolvedCampaign::planCells() const {
       for (double dd : spec.degradeDisks) {
         for (double dn : spec.degradeNet) {
           for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-            for (std::size_t ti = 0; ti < tenants.size(); ++ti) {
-              if (tenants[ti].none()) {
-                // The healthy entry is one cell with the legacy key; a
-                // plan entry fans out into fault-seeds replicas.
-                const std::uint64_t replicas =
-                    faults[fi].none()
-                        ? 1
-                        : static_cast<std::uint64_t>(spec.faultSeeds);
-                for (std::uint64_t s = 1; s <= replicas; ++s) {
-                  CellSpec cell;
-                  cell.modelIndex = mi;
-                  cell.configIndex = ci;
-                  cell.degradeDisks = dd;
-                  cell.degradeNet = dn;
-                  cell.faultIndex = fi;
-                  cell.faultSeed = faults[fi].none() ? 0 : s;
-                  cell.tenantIndex = ti;
-                  cell.key = cellKey(
-                      faults[fi].none() ? spec.estimatorVersion()
-                                        : kFaultEstimatorVersion,
-                      models[mi].contentText, configs[ci].identity, dd, dn,
-                      faults[fi].planText, cell.faultSeed);
-                  cells.push_back(std::move(cell));
-                }
-              } else {
-                // Tenanted: the tenant seed drives the whole composed run
-                // (arrivals + fault installation), so a composed fault
-                // plan contributes its text to the key but no extra seed
-                // fan-out.
-                for (std::uint64_t s = 1;
-                     s <= static_cast<std::uint64_t>(spec.tenantSeeds);
-                     ++s) {
-                  CellSpec cell;
-                  cell.modelIndex = mi;
-                  cell.configIndex = ci;
-                  cell.degradeDisks = dd;
-                  cell.degradeNet = dn;
-                  cell.faultIndex = fi;
-                  cell.tenantIndex = ti;
-                  cell.tenantSeed = s;
-                  cell.key = cellKey(
-                      kTenantEstimatorVersion, models[mi].contentText,
-                      configs[ci].identity, dd, dn, faults[fi].planText,
-                      0, tenants[ti].specText, s);
-                  cells.push_back(std::move(cell));
-                }
-              }
+            // The healthy entry is one cell with the legacy key; a plan
+            // entry fans out into fault-seeds replicas.
+            const std::uint64_t replicas =
+                faults[fi].none()
+                    ? 1
+                    : static_cast<std::uint64_t>(spec.faultSeeds);
+            for (std::uint64_t s = 1; s <= replicas; ++s) {
+              CellSpec cell;
+              cell.modelIndex = mi;
+              cell.configIndex = ci;
+              cell.degradeDisks = dd;
+              cell.degradeNet = dn;
+              cell.faultIndex = fi;
+              cell.faultSeed = faults[fi].none() ? 0 : s;
+              cell.key = cellKey(faults[fi].none() ? spec.estimatorVersion()
+                                                   : kFaultEstimatorVersion,
+                                 models[mi].contentText, configs[ci].identity,
+                                 dd, dn, faults[fi].planText, cell.faultSeed);
+              cells.push_back(std::move(cell));
             }
           }
         }
@@ -676,14 +588,6 @@ std::string ResolvedCampaign::cellTitle(const CellSpec& cell) const {
   if (cell.faulted()) {
     title += " fault=" + faults[cell.faultIndex].label + " seed=" +
              std::to_string(cell.faultSeed);
-  }
-  if (cell.tenanted()) {
-    // A composed fault plan rides along without its own seed fan-out.
-    if (!faults[cell.faultIndex].none()) {
-      title += " fault=" + faults[cell.faultIndex].label;
-    }
-    title += " tenant=" + tenants[cell.tenantIndex].label + " tseed=" +
-             std::to_string(cell.tenantSeed);
   }
   return title;
 }

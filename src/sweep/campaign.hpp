@@ -15,25 +15,14 @@
 //   faultplan none                     # fault axis entry (repeatable)
 //   faultplan file=plans/flaky.plan    # seeded fault-injection plan
 //   fault-seeds 3                      # replicas per faulted plan entry
-//   tenantspec none                    # tenant axis entry (repeatable)
-//   tenantspec file=jobs.tenant        # background contention scenario
-//   tenant-seeds 2                     # replicas per tenanted entry
 //   multiop                            # exact-cycle multi-op replay
 //
 // Cells = models x configs x degrade-disks x degrade-net x faultplans
-// (x seeds for faulted plan entries) x tenantspecs (x seeds for tenanted
-// entries), in exactly that (declaration) order — the campaign's
-// canonical cell order, which the executor commits results in regardless
-// of worker count.  A campaign with no faultplan/tenantspec directive
-// produces the exact same grid, keys and store bytes as before those axes
-// existed.
-//
-// A tenanted cell co-schedules the cell's model as the foreground job of
-// the tenant spec (weight 1, arrival 0) and reports the foreground's
-// *contended* Time_io — "how does this model fare on this configuration
-// under that background load".  The tenant seed drives the whole composed
-// run (arrival streams and any fault plan), so tenanted cells do not
-// additionally fan out over fault-seeds.
+// (x seeds for faulted plan entries), in exactly that (declaration) order
+// — the campaign's canonical cell order, which the executor commits
+// results in regardless of worker count.  A campaign with no faultplan
+// directive produces the exact same grid, keys and store bytes as before
+// the fault axis existed.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +35,6 @@
 #include "core/iomodel.hpp"
 #include "fault/plan.hpp"
 #include "obs/log.hpp"
-#include "tenant/spec.hpp"
 
 namespace iop::sweep {
 
@@ -60,11 +48,6 @@ inline constexpr const char* kMultiOpEstimatorVersion =
 /// Faulted cells replay the whole model synthetically (degraded.hpp)
 /// instead of per-phase IOR mapping, so they carry their own version.
 inline constexpr const char* kFaultEstimatorVersion = "iop-estimate-fault/1";
-/// Tenanted cells co-schedule the model against a tenant spec's
-/// background jobs (tenant/cosched.hpp) and estimate the contended
-/// foreground Time_io, so they carry their own version too.
-inline constexpr const char* kTenantEstimatorVersion =
-    "iop-estimate-tenant/1";
 
 /// One model axis entry: either a saved model file or an application to
 /// characterize on the campaign's characterize config.
@@ -95,15 +78,6 @@ struct FaultSource {
   bool none() const noexcept { return path.empty(); }
 };
 
-/// One tenant axis entry: "none" (the uncontended baseline) or a tenant
-/// spec file whose jobs run as background load for the cell's model.
-struct TenantSource {
-  std::string label = "none";
-  std::string path;  ///< tenant spec file (empty for the none entry)
-
-  bool none() const noexcept { return path.empty(); }
-};
-
 struct CampaignSpec {
   std::string name = "campaign";
   std::vector<ModelSource> models;
@@ -112,8 +86,6 @@ struct CampaignSpec {
   std::vector<double> degradeNet{1.0};
   std::vector<FaultSource> faults{FaultSource{}};
   int faultSeeds = 1;  ///< replicas per faulted plan entry
-  std::vector<TenantSource> tenants{TenantSource{}};
-  int tenantSeeds = 1;  ///< replicas per tenanted spec entry
   bool multiop = false;
   ConfigSource characterize;  ///< default: paper configuration A
 
@@ -121,14 +93,6 @@ struct CampaignSpec {
   /// baseline — the only case where fault fields enter canonical texts.
   bool hasFaultAxis() const noexcept {
     return faults.size() != 1 || !faults.front().none() || faultSeeds != 1;
-  }
-
-  /// True when the campaign has a tenant axis beyond the default
-  /// uncontended baseline — the only case where tenant fields enter
-  /// canonical texts.
-  bool hasTenantAxis() const noexcept {
-    return tenants.size() != 1 || !tenants.front().none() ||
-           tenantSeeds != 1;
   }
 
   const char* estimatorVersion() const noexcept {
@@ -177,15 +141,6 @@ struct ResolvedFault {
   bool none() const noexcept { return planText.empty(); }
 };
 
-/// One tenant axis entry with its spec parsed and canonicalized.
-struct ResolvedTenant {
-  std::string label = "none";
-  tenant::TenantSpec spec;  ///< empty for the none entry
-  std::string specText;     ///< spec.canonicalText() — hash input ("" = none)
-
-  bool none() const noexcept { return specText.empty(); }
-};
-
 /// One cell of the campaign grid, with its content-addressed cache key.
 struct CellSpec {
   std::size_t modelIndex = 0;
@@ -194,13 +149,10 @@ struct CellSpec {
   double degradeNet = 1.0;
   std::size_t faultIndex = 0;   ///< into ResolvedCampaign::faults
   std::uint64_t faultSeed = 0;  ///< 0 = unfaulted (the none entry)
-  std::size_t tenantIndex = 0;   ///< into ResolvedCampaign::tenants
-  std::uint64_t tenantSeed = 0;  ///< 0 = untenanted (the none entry)
   std::string key;  ///< 16-hex ContentHash of (estimator, model, config,
-                    ///< faults, tenants)
+                    ///< faults)
 
   bool faulted() const noexcept { return faultSeed != 0; }
-  bool tenanted() const noexcept { return tenantSeed != 0; }
 };
 
 struct ResolvedCampaign {
@@ -208,7 +160,6 @@ struct ResolvedCampaign {
   std::vector<ResolvedModel> models;
   std::vector<ResolvedConfig> configs;
   std::vector<ResolvedFault> faults;
-  std::vector<ResolvedTenant> tenants;
   std::size_t characterized = 0;   ///< app entries actually traced
   std::size_t modelCacheHits = 0;  ///< app entries served from a model cache
 
@@ -221,8 +172,10 @@ struct ResolvedCampaign {
 /// Knobs for resolveCampaign.  Characterization runs (one per `app`
 /// entry) are independent simulations, so they fan out over `jobs` worker
 /// threads; `modelCacheDirs` are probed for a content-addressed model
-/// (keyed by app + parameters + characterize config) before tracing, and
-/// every computed model is written back to all of them.
+/// (keyed by app + parameters + characterize config) before tracing.  A
+/// computed model is written back to all of them; a model found in one
+/// dir is copied into the dirs probed before it, so the first dir (the
+/// campaign store) always ends up holding every model it was planned from.
 struct ResolveOptions {
   int jobs = 1;
   std::vector<std::filesystem::path> modelCacheDirs;
@@ -252,16 +205,12 @@ std::string modelCacheKey(const ModelSource& src,
 /// The cache key of one cell (exposed for tests): estimator version +
 /// model text + config identity + fault factors.  The fault plan's
 /// canonical text and replica seed enter the hash only when a plan is
-/// present, so unfaulted keys are byte-identical to pre-fault stores;
-/// likewise the tenant spec's canonical text and seed enter only for
-/// tenanted cells.
+/// present, so unfaulted keys are byte-identical to pre-fault stores.
 std::string cellKey(const char* estimatorVersion,
                     const std::string& modelText,
                     const std::string& configIdentity, double degradeDisks,
                     double degradeNet,
                     const std::string& faultPlanText = std::string(),
-                    std::uint64_t faultSeed = 0,
-                    const std::string& tenantSpecText = std::string(),
-                    std::uint64_t tenantSeed = 0);
+                    std::uint64_t faultSeed = 0);
 
 }  // namespace iop::sweep

@@ -20,7 +20,6 @@
 #include "obs/recorder.hpp"
 #include "sim/framepool.hpp"
 #include "sweep/telemetry.hpp"
-#include "tenant/cosched.hpp"
 #include "util/vfs.hpp"
 
 namespace iop::sweep {
@@ -106,43 +105,6 @@ CellResult evaluateCell(const ResolvedCampaign& campaign,
   result.degradeNet = cell.degradeNet;
   result.np = model.model.np();
   result.weightBytes = model.model.totalWeightBytes();
-
-  if (cell.tenanted()) {
-    // Tenanted cell: co-schedule the model as the foreground job of the
-    // tenant spec (tenant/cosched.hpp) and estimate its *contended*
-    // Time_io.  A fault plan on the cell composes into the same run; the
-    // tenant seed drives both the arrival streams and the injector.
-    const ResolvedTenant& tenantSrc = campaign.tenants[cell.tenantIndex];
-    const ResolvedFault& faultSrc = campaign.faults[cell.faultIndex];
-    tenant::TenantRunOptions topt;
-    if (!faultSrc.none()) topt.faultPlan = &faultSrc.plan;
-    topt.foregroundModel = &model.model;
-    const tenant::TenantResult tr =
-        tenant::runTenant(tenantSrc.spec, builder, cell.tenantSeed, topt);
-    const tenant::TenantJobResult& fg = tr.jobs.front();
-    result.estimator = kTenantEstimatorVersion;
-    result.tenantLabel = tenantSrc.label;
-    result.tenantSeed = cell.tenantSeed;
-    result.tenantJain = tr.jain;
-    result.tenantSoloTimeIo = fg.soloTimeIo;
-    result.tenantSlowdown = fg.slowdown;
-    if (!faultSrc.none()) result.faultLabel = faultSrc.label;
-    result.timeIo = fg.contendedTimeIo;
-    for (const auto& p : fg.phases) {
-      const double bw =
-          p.seconds > 0
-              ? static_cast<double>(p.weightBytes) / p.seconds
-              : 0;
-      result.phases.push_back(
-          {p.id, p.familyId, p.weightBytes, bw, p.seconds});
-    }
-    for (const auto& job : tr.jobs) {
-      result.tenantJobs.push_back({job.id, job.weight, job.soloTimeIo,
-                                   job.contendedTimeIo, job.slowdown,
-                                   job.waitSeconds});
-    }
-    return result;
-  }
 
   if (cell.faulted()) {
     // Degraded-mode cell: one seeded replica of the whole-model synthetic

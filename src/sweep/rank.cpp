@@ -30,12 +30,6 @@ std::string groupTitle(const ResolvedCampaign& campaign,
   if (cell.faulted()) {
     title += " [fault=" + campaign.faults[cell.faultIndex].label + "]";
   }
-  if (cell.tenanted()) {
-    if (!campaign.faults[cell.faultIndex].none()) {
-      title += " [fault=" + campaign.faults[cell.faultIndex].label + "]";
-    }
-    title += " [tenant=" + campaign.tenants[cell.tenantIndex].label + "]";
-  }
   return title;
 }
 
@@ -195,10 +189,7 @@ std::vector<RankGroup> rankOutcome(const ResolvedCampaign& campaign,
     const std::string title = groupTitle(campaign, cell.spec);
     auto [it, inserted] = groupIndex.emplace(title, pendingGroups.size());
     if (inserted) {
-      // Tenanted groups aggregate seeded replicas exactly like faulted
-      // ones: median Time_io over the tenant seeds.
-      pendingGroups.push_back(
-          {title, cell.spec.faulted() || cell.spec.tenanted(), {}, {}});
+      pendingGroups.push_back({title, cell.spec.faulted(), {}, {}});
     }
     PendingGroup& pending = pendingGroups[it->second];
     auto [bucketIt, newBucket] =
@@ -261,8 +252,9 @@ std::string renderReport(const ResolvedCampaign& campaign,
   for (const auto& group : rankOutcome(campaign, outcome)) {
     util::Table table("Sweep ranking: " + group.title);
     if (group.faulted) {
-      // Degraded/tenanted groups rank by the median over seeded replicas
-      // and show survival instead of IOR cost (neither runs IOR).
+      // Degraded groups rank by the median over seeded replicas
+      // and show survival instead of IOR cost (a faulted cell runs no
+      // IOR).
       table.setHeader({"rank", "configuration", "median Time_io (s)",
                        "eff. BW", "dev sat", "seeds ok", "status"},
                       {util::Align::Right, util::Align::Left,

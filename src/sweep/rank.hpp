@@ -7,12 +7,11 @@
 // (total weight / Time_io).  The top-ranked candidate of each group is the
 // configuration the paper's methodology selects.
 //
-// Fault-plan and tenant-spec cells aggregate first: each configuration's
-// seeded replicas collapse into one entry ranked by its *median*
-// (degraded / contended) Time_io, so a single unlucky seed cannot flip
-// the selection.  Replicas whose run died at phase level (retries
-// exhausted, no failover) count against the entry and drop it to the
-// bottom when no seed survived.
+// Fault-plan cells aggregate first: each configuration's seeded replicas
+// collapse into one entry ranked by its *median* (degraded) Time_io, so a
+// single unlucky seed cannot flip the selection.  Replicas whose run died
+// at phase level (retries exhausted, no failover) count against the entry
+// and drop it to the bottom when no seed survived.
 //
 // Every table carries a "dev sat" column: the peak per-phase bandwidth
 // over the configuration's aggregate ideal device bandwidth.  Candidates
@@ -38,7 +37,7 @@ struct RankedCell {
 };
 
 struct RankGroup {
-  std::string title;  ///< "model [dd=.. dn=..] [fault=..] [tenant=..]"
+  std::string title;  ///< "model [dd=.. dn=..] [fault=..]"
   bool faulted = false;             ///< group carries seeded replicas
   std::vector<RankedCell> entries;  ///< Time_io ascending, failures last
 };

@@ -86,24 +86,6 @@ std::string CellResult::render() const {
     out << "fault-stall " << fmtDouble(faultStallSeconds) << "\n";
     if (faultFailed()) out << "fault-error " << faultError << "\n";
   }
-  if (tenanted()) {
-    // Same compat rule as fault lines: only tenanted cells carry these.
-    out << "tenant " << tenantLabel << "\n";
-    out << "tenant-seed " << tenantSeed << "\n";
-    out << "tenant-jain " << fmtDouble(tenantJain) << "\n";
-    out << "tenant-solo " << fmtDouble(tenantSoloTimeIo) << "\n";
-    out << "tenant-slowdown " << fmtDouble(tenantSlowdown) << "\n";
-    // A fault plan composed into the tenant run has no seed fan-out of
-    // its own, so the label travels on its own line.
-    if (!faultLabel.empty()) out << "tenant-fault " << faultLabel << "\n";
-    out << "tenant-jobs " << tenantJobs.size() << "\n";
-    for (const auto& j : tenantJobs) {
-      out << "tenant-job " << j.id << " " << fmtDouble(j.weight) << " "
-          << fmtDouble(j.soloTimeIo) << " " << fmtDouble(j.contendedTimeIo)
-          << " " << fmtDouble(j.slowdown) << " " << fmtDouble(j.waitSeconds)
-          << "\n";
-    }
-  }
   out << "estimator " << estimator << "\n";
   out << "np " << np << "\n";
   out << "weight " << weightBytes << "\n";
@@ -134,7 +116,6 @@ CellResult CellResult::parse(const std::string& text) {
   CellResult cell;
   bool sawEnd = false;
   std::size_t expectedPhases = 0;
-  std::size_t expectedTenantJobs = 0;
   // Byte offset of the current line within `text`, maintained manually:
   // the checksum line seals every byte before it.
   std::size_t lineStart = text.find('\n') + 1;  // past the header
@@ -173,29 +154,6 @@ CellResult CellResult::parse(const std::string& text) {
       cell.faultStallSeconds = toDouble(tokens[1]);
     } else if (directive == "fault-error") {
       cell.faultError = restOfLine(line);
-    } else if (directive == "tenant") {
-      cell.tenantLabel = restOfLine(line);
-    } else if (directive == "tenant-seed" && tokens.size() == 2) {
-      cell.tenantSeed = toU64(tokens[1]);
-    } else if (directive == "tenant-jain" && tokens.size() == 2) {
-      cell.tenantJain = toDouble(tokens[1]);
-    } else if (directive == "tenant-solo" && tokens.size() == 2) {
-      cell.tenantSoloTimeIo = toDouble(tokens[1]);
-    } else if (directive == "tenant-slowdown" && tokens.size() == 2) {
-      cell.tenantSlowdown = toDouble(tokens[1]);
-    } else if (directive == "tenant-fault") {
-      cell.faultLabel = restOfLine(line);
-    } else if (directive == "tenant-jobs" && tokens.size() == 2) {
-      expectedTenantJobs = toU64(tokens[1]);
-    } else if (directive == "tenant-job" && tokens.size() == 7) {
-      TenantJobRow row;
-      row.id = tokens[1];
-      row.weight = toDouble(tokens[2]);
-      row.soloTimeIo = toDouble(tokens[3]);
-      row.contendedTimeIo = toDouble(tokens[4]);
-      row.slowdown = toDouble(tokens[5]);
-      row.waitSeconds = toDouble(tokens[6]);
-      cell.tenantJobs.push_back(std::move(row));
     } else if (directive == "estimator" && tokens.size() == 2) {
       cell.estimator = tokens[1];
     } else if (directive == "np" && tokens.size() == 2) {
@@ -228,9 +186,6 @@ CellResult CellResult::parse(const std::string& text) {
   if (cell.key.empty()) badCell("missing key");
   if (cell.phases.size() != expectedPhases) {
     badCell("phase count mismatch");
-  }
-  if (cell.tenantJobs.size() != expectedTenantJobs) {
-    badCell("tenant job count mismatch");
   }
   return cell;
 }

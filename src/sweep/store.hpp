@@ -68,28 +68,9 @@ struct CellResult {
   std::uint64_t faultFailovers = 0;
   double faultStallSeconds = 0;
   std::string faultError;  ///< run died at phase level (retries exhausted)
-  // Tenanted cells only (tenantSeed > 0): the model ran as the foreground
-  // job of a tenant spec, and timeIo is its *contended* Time_io.  Absent
-  // from untenanted cells so their files stay byte-identical to stores
-  // written before the tenant axis existed.
-  struct TenantJobRow {
-    std::string id;
-    double weight = 1.0;
-    double soloTimeIo = 0;
-    double contendedTimeIo = 0;
-    double slowdown = 1.0;
-    double waitSeconds = 0;
-  };
-  std::string tenantLabel;
-  std::uint64_t tenantSeed = 0;
-  double tenantJain = 1.0;        ///< fairness across all co-scheduled jobs
-  double tenantSoloTimeIo = 0;    ///< the foreground's uncontended baseline
-  double tenantSlowdown = 1.0;    ///< timeIo / tenantSoloTimeIo
-  std::vector<TenantJobRow> tenantJobs;  ///< foreground first
 
   bool faulted() const noexcept { return faultSeed != 0; }
   bool faultFailed() const noexcept { return !faultError.empty(); }
-  bool tenanted() const noexcept { return tenantSeed != 0; }
 
   /// Deterministic text serialization ("iop-cell v1") ending in a
   /// "checksum <16hex>" line (FNV over everything before it) so torn or
@@ -148,9 +129,6 @@ class CellPool {
  private:
   std::filesystem::path root_;
 };
-
-/// The campaign-independent shared store is a bare pool.
-using SharedStore = CellPool;
 
 /// A pool bound to one campaign, plus its captures and manifest.
 class CampaignStore : public CellPool {

@@ -3,8 +3,9 @@
 // forked child (util::vfs tears the op and exits with kCrashExitCode),
 // then assert that iop-fsck + an idempotent re-run converge on the
 // byte-identical tree an uninterrupted run produces.  Also the
-// cross-process SharedStore commit-race test: a writer that crashes
-// mid-commit never damages what a surviving writer committed.
+// cross-process commit-race test on a shared sweep::CellPool: a writer
+// that crashes mid-commit never damages what a surviving writer
+// committed.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -207,7 +208,7 @@ TEST(CrashHarness, SharedStoreCommitRaceSurvivesPartnerCrash) {
   const std::string expected = cell.render();
 
   TempDir dir("shared_race");
-  sweep::SharedStore shared(dir.path());
+  sweep::CellPool shared(dir.path());
 
   const auto commitInChild = [&](int crashMode) {
     const pid_t pid = fork();
@@ -218,7 +219,7 @@ TEST(CrashHarness, SharedStoreCommitRaceSurvivesPartnerCrash) {
         util::vfs::setCrashPoint(1);  // saveCell is one barrier op
       }
       try {
-        sweep::SharedStore child(dir.path());
+        sweep::CellPool child(dir.path());
         child.saveCell(cell);
       } catch (...) {
         std::_Exit(99);

@@ -264,7 +264,7 @@ TEST(Fsck, DryRunReportsWithoutTouching) {
 
 TEST(Fsck, SharedStoreChecksCellsAndModels) {
   TempDir dir("shared");
-  sweep::SharedStore shared(dir.path());
+  sweep::CellPool shared(dir.path());
   // Seed one valid cell through the real commit path.
   auto campaign = resolveTestCampaign();
   const auto cell = campaign.planCells()[0];

@@ -543,6 +543,41 @@ TEST(CampaignResolve, ModelCacheAvoidsRecharacterization) {
   EXPECT_EQ(third.models[0].contentText, first.models[0].contentText);
 }
 
+TEST(CampaignResolve, SharedModelHitIsCopiedIntoTheStore) {
+  TempDir shared("sharedmodel_pool");
+  TempDir storeDir("sharedmodel_store");
+  const auto spec = sweep::parseCampaign(
+      "name shared-model\napp example\nconfig A\n", ".");
+  sweep::CellPool pool(shared.path());
+  sweep::CampaignStore store(storeDir.path());
+
+  // Only the shared pool holds the model.
+  sweep::ResolveOptions poolOnly;
+  poolOnly.modelCacheDirs.push_back(pool.modelDir());
+  ASSERT_EQ(sweep::resolveCampaign(spec, poolOnly).characterized, 1u);
+  const auto sharedModels = snapshotTree(pool.modelDir());
+  ASSERT_EQ(sharedModels.size(), 1u);
+
+  // Resolving with the store ahead of the pool hits the pool and copies
+  // the model into the store byte for byte.
+  sweep::ResolveOptions both;
+  both.modelCacheDirs = {store.modelDir(), pool.modelDir()};
+  const auto adopted = sweep::resolveCampaign(spec, both);
+  EXPECT_EQ(adopted.characterized, 0u);
+  EXPECT_EQ(adopted.modelCacheHits, 1u);
+  ASSERT_TRUE(std::filesystem::exists(store.modelDir()));
+  EXPECT_EQ(snapshotTree(store.modelDir()), sharedModels);
+
+  // The store alone now serves the model: nothing is characterized again.
+  sweep::ResolveOptions storeOnly;
+  storeOnly.modelCacheDirs.push_back(store.modelDir());
+  const auto again = sweep::resolveCampaign(spec, storeOnly);
+  EXPECT_EQ(again.characterized, 0u);
+  EXPECT_EQ(again.modelCacheHits, 1u);
+  ASSERT_EQ(again.models.size(), 1u);
+  EXPECT_EQ(again.models[0].contentText, adopted.models[0].contentText);
+}
+
 TEST(SweepExecutor, SharedStoreReusesAcrossCampaigns) {
   TempDir shared("sharedpool");
   const auto first = resolveTestCampaign(
@@ -579,7 +614,7 @@ TEST(SweepExecutor, SharedStoreReusesAcrossCampaigns) {
   EXPECT_EQ(snapshotTree(storeB.path()), snapshotTree(storeC.path()));
 
   // Adopted cells pass the store's key check when read back.
-  sweep::SharedStore pool(shared.path());
+  sweep::CellPool pool(shared.path());
   for (const auto& cell : second.planCells()) {
     ASSERT_TRUE(pool.hasCell(cell.key));
     const auto loaded = pool.tryLoadCell(cell.key);
@@ -675,6 +710,16 @@ TEST(CellKey, RespondsToFaultPlanAndSeed) {
   EXPECT_NE(base, sweep::cellKey("est/1", "m", "c", 1.0, 1.0, "plan-b", 1));
   EXPECT_NE(base, sweep::cellKey("est/1", "m", "c", 1.0, 1.0, "plan-a", 2));
   EXPECT_NE(base, sweep::cellKey("est/1", "m", "c", 1.0, 1.0));
+}
+
+TEST(CellKey, LiteralKeysArePinned) {
+  // Keys name the committed cells of every existing store, so the hashed
+  // bytes must never change: pin an unfaulted and a faulted key by value.
+  EXPECT_EQ(sweep::cellKey("est/1", "m", "c", 1.0, 1.0), "6bbc5e6d88419d0e");
+  EXPECT_EQ(sweep::cellKey("est/1", "m", "c", 1.0, 1.0, "plan-a", 1),
+            "b5d73cdfffff94a4");
+  EXPECT_EQ(sweep::cellKey(sweep::kEstimatorVersion, "m", "c", 4.0, 0.5),
+            "17d795d47c360943");
 }
 
 TEST(SweepExecutor, FaultAxisEndToEndDeterministicAndCached) {
